@@ -120,58 +120,12 @@ val actions_of_verdict :
     batched dispatchers ({!Dip_mcore.Pool}) can produce action lists
     off the handler path. *)
 
-(** {1 Batch processing}
-
-    The data-plane entry points for {!Dip_mcore}-style batched
-    dispatch. A batch shares one progcache hint across its packets —
-    a run of same-program packets costs one byte-compare each instead
-    of a key allocation plus an LRU probe — and publishes cache
-    stats / obs gauges once per batch rather than once per packet. *)
-
-type batch
-
-val batch_start :
-  ?obs:Obs.t ->
-  ?verify:(Packet.view -> (unit, string) result) ->
-  ?hint:Progcache.hint ->
-  registry:Registry.t ->
-  Env.t ->
-  batch
-(** Open a router-side batch on [env]. The batch must not outlive
-    control-plane changes to [env]'s program cache or registry (its
-    parse hint pins cache entries — see {!Progcache.hint}).
-
-    [hint] lets a long-lived dispatcher ({!Dip_mcore.Pool} workers)
-    carry one warm parse hint across {e many} batches on the same
-    env: without it every batch re-arms a cold hint, and the first
-    packet of each batch pays the full key-hash + LRU probe even in
-    the steady state of small per-worker batches. The same lifetime
-    rule applies to the caller-owned hint — it must be dropped with
-    the env/cache it was warmed on. *)
-
-val batch_step :
-  batch -> now:float -> ingress:Env.port -> Dip_bitbuf.Bitbuf.t -> verdict * info
-(** Process one packet of the batch; semantically identical to
-    {!process} with the batch's [obs]/[verify]/[registry]. *)
-
-val batch_finish : batch -> unit
-(** Publish the per-batch deferred accounting (progcache counters
-    into [env]'s {!Dip_netsim.Stats.Counters}, obs cache gauges). *)
-
-val process_batch :
-  ?obs:Obs.t ->
-  ?verify:(Packet.view -> (unit, string) result) ->
-  registry:Registry.t ->
-  Env.t ->
-  now:float ->
-  ingress:Env.port ->
-  Dip_bitbuf.Bitbuf.t array ->
-  (verdict * info) array
-(** [batch_start] / [batch_step] over every buffer / [batch_finish].
-    Equivalent to folding {!process} over the array (same verdicts,
-    drops, and per-opkey obs counts) — the batch property the test
-    suite checks — but with the per-packet setup amortized. Packets
-    are mutated in place exactly as {!process} does. *)
+val publish_stats : ?obs:Obs.t -> Env.t -> unit
+(** Mirror [env]'s program-cache totals into its
+    {!Dip_netsim.Stats.Counters} and, with [obs], into the
+    [engine.progcache.*] gauges. {!handler} and {!host_handler} call
+    it after every packet; a dispatcher that runs many packets per
+    call ({!Dip_mcore.Pool}) calls it once per batch. *)
 
 val handler :
   ?obs:Obs.t ->
@@ -181,9 +135,8 @@ val handler :
   Dip_netsim.Sim.handler
 (** A DIP router as a simulator node. Unsupported-FN verdicts send
     an {!Errors.fn_unsupported} notification back out the ingress
-    port. With [obs], the handler additionally mirrors the node's
-    program-cache totals into the [engine.progcache.*] gauges after
-    every packet. *)
+    port. Publishes the node's program-cache totals
+    ({!publish_stats}) after every packet. *)
 
 val host_handler :
   ?obs:Obs.t ->

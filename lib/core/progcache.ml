@@ -192,19 +192,23 @@ let key_matches buf key =
        !i = klen
      end
 
+(* A hit on a known program prefix: the packet must still be long
+   enough for the header the prefix announces (the locations region
+   lies beyond the keyed bytes). *)
+let serve t e buf =
+  if e.header_len > Bitbuf.length buf then Error "header exceeds packet bounds"
+  else begin
+    note_hit t;
+    Ok (view_of_entry e buf, Some e)
+  end
+
 let parse t buf =
   match t.last_entry with
   | Some e when key_matches buf t.last_key ->
       (* Same program as the previous packet: serve it without
          touching the key or the LRU (the hint is the LRU's MRU by
-         construction). The packet must still be long enough for the
-         header the prefix announces. *)
-      if e.header_len > Bitbuf.length buf then
-        Error "header exceeds packet bounds"
-      else begin
-        note_hit t;
-        Ok (view_of_entry e buf, Some e)
-      end
+         construction). *)
+      serve t e buf
   | _ -> (
       match key_of buf with
       | None -> (
@@ -216,67 +220,15 @@ let parse t buf =
       | Some key -> (
           match Lru.find t.table key with
           | Some e ->
-              (* Same program prefix, but the packet must still be long
-                 enough for the header the prefix announces (the
-                 locations region lies beyond the keyed bytes). *)
-              if e.header_len > Bitbuf.length buf then
-                Error "header exceeds packet bounds"
-              else begin
-                note_hit t;
-                arm_hint t key e;
-                Ok (view_of_entry e buf, Some e)
-              end
+              (* [find] made [e] the MRU entry, so it may back the hint. *)
+              arm_hint t key e;
+              serve t e buf
           | None -> (
               match Packet.parse buf with
               | Error _ as err -> err
               | Ok view ->
                   note_miss t;
                   Ok (view, Some (insert t key view)))))
-
-(* --- batch parse hint -------------------------------------------- *)
-
-type hint = { mutable hkey : string; mutable hentry : entry option }
-
-let hint () = { hkey = ""; hentry = None }
-
-let parse_hinted t h buf =
-  match h.hentry with
-  | Some e when key_matches buf h.hkey ->
-      (* Same program as the previous packet of the batch: skip the
-         key allocation and the LRU probe entirely. Counted as a hit
-         so batch and per-packet accounting agree. *)
-      if e.header_len > Bitbuf.length buf then
-        Error "header exceeds packet bounds"
-      else begin
-        note_hit t;
-        Ok (view_of_entry e buf, Some e)
-      end
-  | _ -> (
-      match key_of buf with
-      | None -> (
-          match Packet.parse buf with
-          | Ok view -> Ok (view, None)
-          | Error e -> Error e)
-      | Some key -> (
-          match Lru.find t.table key with
-          | Some e ->
-              if e.header_len > Bitbuf.length buf then
-                Error "header exceeds packet bounds"
-              else begin
-                note_hit t;
-                h.hkey <- key;
-                h.hentry <- Some e;
-                Ok (view_of_entry e buf, Some e)
-              end
-          | None -> (
-              match Packet.parse buf with
-              | Error _ as err -> err
-              | Ok view ->
-                  note_miss t;
-                  let e = insert t key view in
-                  h.hkey <- key;
-                  h.hentry <- Some e;
-                  Ok (view, Some e))))
 
 let invalidate_key t key =
   let victims =

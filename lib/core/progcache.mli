@@ -30,7 +30,7 @@ type entry = {
     ((Packet.view -> (unit, string) result) * (unit, string) result) option;
       (** memoized result of the engine's [?verify] pre-check,
           tagged with the hook that produced it (compared physically
-          by {!Engine.check_view}): a different verifier re-checks
+          by the engine): a different verifier re-checks
           instead of inheriting another hook's verdict *)
 }
 
@@ -83,25 +83,6 @@ val parse : t -> Dip_bitbuf.Bitbuf.t -> (Packet.view * entry option, string) res
     comparison against the last program's prefix, no allocation, no
     LRU probe. The hint is dropped on {!clear}, {!invalidate_key} and
     eviction, so it never outlives the entry it points to. *)
-
-type hint
-(** A one-batch parse memo: remembers the last program prefix parsed
-    through it so a run of same-program packets (the steady state of
-    a forwarding router, and the common shape of a batch) skips both
-    the key allocation and the LRU probe. A hint must not outlive the
-    batch it was created for: cache invalidation ({!clear},
-    {!invalidate_key}, {!Control} updates) does not reach into live
-    hints. *)
-
-val hint : unit -> hint
-
-val parse_hinted :
-  t -> hint -> Dip_bitbuf.Bitbuf.t -> (Packet.view * entry option, string) result
-(** {!parse}, amortized: when the packet's prefix matches the hint's
-    remembered program (hop-limit byte ignored), the cached entry is
-    reused without touching the LRU; otherwise it falls back to
-    {!parse} semantics and re-arms the hint. Hit/miss accounting is
-    identical to {!parse}. *)
 
 val clear : t -> unit
 (** Drop every entry (registry changed outside {!Control}). *)

@@ -25,16 +25,12 @@ let ev_gc_minor = F.register ~kind:F.Counter "gc.minor_collections"
 let ev_gc_promoted = F.register ~kind:F.Counter "gc.promoted_words"
 
 (* Everything a worker reads per batch, swapped as one pointer
-   (RCU-style): treat all of it as immutable once published. The
-   per-worker parse hints live here, not in the worker, because a
-   hint pins entries of its epoch's program caches — swapping the
-   world must swap the hints with it. *)
+   (RCU-style): treat all of it as immutable once published. *)
 type published = {
   snap : Snapshot.t;
   envs : Env.t array;
   obses : Obs.t option array;
   metricses : Metrics.t option array;
-  hints : Progcache.hint array;
 }
 
 (* One dispatch's completion: a countdown over its live jobs. The
@@ -133,8 +129,7 @@ let build_published ?sample_every ~metrics ~flights snap ndomains =
   Array.iteri
     (fun w env -> Progcache.set_flight env.Env.prog_cache flights.(w))
     envs;
-  let hints = Array.init ndomains (fun _ -> Progcache.hint ()) in
-  { snap; envs; obses; metricses; hints }
+  { snap; envs; obses; metricses }
 
 (* Per-batch GC visibility from the executing domain: the absolute
    minor-collection and promoted-word readings as flight counters
@@ -157,6 +152,34 @@ let note_gc t w fl =
     | None -> ()
   end
 
+(* Algorithm 1 over one job on worker [w]'s slice of the pinned world
+   [pub]: the pool's only packet-execution path, shared by the ring
+   workers and the 1-domain run-to-completion branch so the two cannot
+   drift. Item [k]'s results go to caller slot [idxs.(k)] ([k] itself
+   when [idxs] is [None]). Cache stats are published once per job;
+   [t0] opens the ["pool.execute"] span. *)
+let execute_items t w pub ~t0 ~want_actions items idxs n verdicts actions =
+  let env = pub.envs.(w) and obs = pub.obses.(w) in
+  let { Snapshot.verify; registry; _ } = pub.snap in
+  for k = 0 to n - 1 do
+    let it = items.(k) in
+    let ((verdict, _) as r) =
+      Engine.process ?obs ?verify ~registry env ~now:it.now ~ingress:it.ingress
+        it.pkt
+    in
+    let i = match idxs with None -> k | Some idxs -> idxs.(k) in
+    verdicts.(i) <- r;
+    if want_actions then
+      actions.(i) <-
+        Engine.actions_of_verdict env ~ingress:it.ingress it.pkt verdict
+  done;
+  Engine.publish_stats ?obs env;
+  let fl = t.fl_rings.(w + 1) in
+  (match fl with
+  | None -> ()
+  | Some r -> F.record r ev_execute (F.now () - t0) n 0);
+  note_gc t w fl
+
 let worker t w =
   let stop () = Atomic.get t.stop in
   let ring = t.rings.(w) in
@@ -165,11 +188,6 @@ let worker t w =
     match Spsc.pop_wait ~spin:t.spin ring ~stop with
     | None -> ()
     | Some job ->
-        (* The world was pinned into the job when it was dispatched:
-           a publish between dispatch and this pop must not retarget
-           an in-flight batch (snapshot.mli's RCU contract). *)
-        let pub = job.j_pub in
-        let env = pub.envs.(w) in
         let t0 =
           match fl with
           | None -> 0
@@ -178,28 +196,12 @@ let worker t w =
               F.record r ev_queue_wait (n - job.j_submit_ns) job.j_count 0;
               n
         in
-        let b =
-          Engine.batch_start ?obs:pub.obses.(w)
-            ?verify:pub.snap.Snapshot.verify ~hint:pub.hints.(w)
-            ~registry:pub.snap.Snapshot.registry env
-        in
-        let items = job.j_items and idxs = job.j_idxs in
-        for k = 0 to job.j_count - 1 do
-          let it = items.(k) in
-          let ((verdict, _) as r) =
-            Engine.batch_step b ~now:it.now ~ingress:it.ingress it.pkt
-          in
-          let i = idxs.(k) in
-          job.j_verdicts.(i) <- r;
-          if job.j_want_actions then
-            job.j_actions.(i) <-
-              Engine.actions_of_verdict env ~ingress:it.ingress it.pkt verdict
-        done;
-        Engine.batch_finish b;
-        (match fl with
-        | None -> ()
-        | Some r -> F.record r ev_execute (F.now () - t0) job.j_count 0);
-        note_gc t w fl;
+        (* The world was pinned into the job when it was dispatched:
+           a publish between dispatch and this pop must not retarget
+           an in-flight batch (snapshot.mli's RCU contract). *)
+        execute_items t w job.j_pub ~t0 ~want_actions:job.j_want_actions
+          job.j_items (Some job.j_idxs) job.j_count job.j_verdicts
+          job.j_actions;
         (* After the decrement the dispatcher may reclaim the job as
            scratch — the job must not be touched again. Only the last
            job of the dispatch pays the lock/broadcast, and only to
@@ -393,34 +395,14 @@ let dispatch_async t ~want_actions items =
        only the ring transfer plus (on a box where the two domains
        share a core) two scheduler round trips per batch — which is
        exactly how the PR-5 pool lost to sequential at one domain.
-       Worker 0's environment, hint and observer are used so results,
-       counters and caching are indistinguishable from the ring path;
-       the (parked) worker domain never touches them. *)
-    let pub = Atomic.get t.current in
-    let env = pub.envs.(0) in
-    let fl1 = t.fl_rings.(1) in
-    let x0 = match fl1 with None -> 0 | Some _ -> F.now () in
-    let b =
-      Engine.batch_start ?obs:pub.obses.(0) ?verify:pub.snap.Snapshot.verify
-        ~hint:pub.hints.(0) ~registry:pub.snap.Snapshot.registry env
-    in
-    for i = 0 to n - 1 do
-      let it = items.(i) in
-      let ((verdict, _) as r) =
-        Engine.batch_step b ~now:it.now ~ingress:it.ingress it.pkt
-      in
-      verdicts.(i) <- r;
-      if want_actions then
-        actions.(i) <-
-          Engine.actions_of_verdict env ~ingress:it.ingress it.pkt verdict
-    done;
-    Engine.batch_finish b;
-    (* The dispatcher {e is} worker 0 here, so the execute span lands
+       Worker 0's environment and observer are used, and the items
+       run through the same [execute_items] as on the ring path, so
+       results, counters and caching are indistinguishable from it;
+       the dispatcher {e is} worker 0 here, so the execute span lands
        on worker 0's lane, written from the only domain there is. *)
-    (match fl1 with
-    | None -> ()
-    | Some r -> F.record r ev_execute (F.now () - x0) n 0);
-    note_gc t 0 fl1;
+    let t0 = match t.fl_rings.(1) with None -> 0 | Some _ -> F.now () in
+    execute_items t 0 (Atomic.get t.current) ~t0 ~want_actions items None n
+      verdicts actions;
     Atomic.set tk.comp.pending 0
   end
   else begin

@@ -7,8 +7,9 @@
       (cache-line-padded cursors, cached opposing-cursor reads) and
       owning a private {!Dip_core.Env.t} (built from the snapshot's
       [mk_env]) plus, optionally, a private
-      {!Dip_obs.Metrics.t}/{!Dip_core.Obs.t} pair and a persistent
-      parse hint. Workers share {e no} mutable state; the only
+      {!Dip_obs.Metrics.t}/{!Dip_core.Obs.t} pair. Each item runs
+      through {!Dip_core.Engine.process}, so the env's own program
+      cache (and its invalidation) serves every parse. Workers share {e no} mutable state; the only
       cross-domain traffic is the rings, the published-snapshot
       pointer, and one completion countdown per dispatch.
     - Packets are sharded to workers by {!Flow.hash} over the match
@@ -74,8 +75,8 @@ val create :
     the pool is quiescent.
 
     A [domains:1] pool runs batches to completion on the dispatching
-    domain itself (using worker 0's environment, hint and observer,
-    so everything observable is identical to the ring path): with one
+    domain itself (using worker 0's environment and observer and the
+    ring path's own item loop, so everything observable is identical): with one
     worker there is no parallelism to buy with a domain crossing,
     only hand-off overhead — this is the configuration the overhead
     floor in BENCH_PR7 measures. *)

@@ -1,6 +1,6 @@
 (* Tests for Dip_mcore, the domain-parallel batched data plane: the
-   SPSC rings, flow-hash sharding, batch ≡ sequential-fold
-   equivalence (engine-level and pool-level), snapshot publication,
+   SPSC rings, flow-hash sharding, pool ≡ sequential-fold
+   equivalence, program-cache invalidation, snapshot publication,
    per-worker metrics merging, and the headline determinism property:
    an N-domain simulator run delivers exactly what the single-domain
    run delivers. *)
@@ -261,79 +261,32 @@ let obs_counts m =
       | _ -> None)
     (Dip_obs.Metrics.snapshot m)
 
-(* --- batch ≡ sequential fold (engine level) --- *)
-
-let prop_batch_equals_fold =
-  QCheck.Test.make ~name:"engine: process_batch ≡ sequential process fold"
-    ~count:60
-    QCheck.(
-      list_of_size (Gen.int_range 0 40)
-        (pair (int_range 0 2) (int_range 0 15)))
-    (fun specs ->
-      let pkts = List.map mk_packet specs in
-      let run_seq () =
-        let env = mk_env 0 in
-        let m = Dip_obs.Metrics.create () in
-        let obs = Obs.create m in
-        let out =
-          List.map
-            (fun p ->
-              result_summary
-                (Engine.process ~obs ~registry env ~now:0.0 ~ingress:0
-                   (Bitbuf.copy p)))
-            pkts
-        in
-        Env.publish_cache_stats env;
-        (out, obs_counts m)
-      in
-      let run_batch () =
-        let env = mk_env 0 in
-        let m = Dip_obs.Metrics.create () in
-        let obs = Obs.create m in
-        let out =
-          Engine.process_batch ~obs ~registry env ~now:0.0 ~ingress:0
-            (Array.of_list (List.map Bitbuf.copy pkts))
-        in
-        (Array.to_list (Array.map result_summary out), obs_counts m)
-      in
-      let seq_out, seq_counts = run_seq () in
-      let batch_out, batch_counts = run_batch () in
-      seq_out = batch_out && seq_counts = batch_counts)
-
-(* Batches also mutate the packets identically (hop limits, marks). *)
-let prop_batch_mutations_agree =
-  QCheck.Test.make ~name:"engine: batch mutates packets like process"
-    ~count:40
-    QCheck.(
-      list_of_size (Gen.int_range 1 20)
-        (pair (int_range 0 2) (int_range 0 15)))
-    (fun specs ->
-      let pkts = List.map mk_packet specs in
-      let seq = List.map Bitbuf.copy pkts in
-      let batch = Array.of_list (List.map Bitbuf.copy pkts) in
-      let env1 = mk_env 0 and env2 = mk_env 0 in
-      List.iter
-        (fun p -> ignore (Engine.process ~registry env1 ~now:0.0 ~ingress:0 p))
-        seq;
-      ignore (Engine.process_batch ~registry env2 ~now:0.0 ~ingress:0 batch);
-      List.for_all2
-        (fun a b -> Bitbuf.to_string a = Bitbuf.to_string b)
-        seq (Array.to_list batch))
-
 (* --- pool ≡ sequential fold --- *)
 
+(* The pool runs Algorithm 1 through [Engine.process], sharded over
+   [domains] workers: verdicts and execution accounting, the in-place
+   packet mutations (hop limits, marks) and the per-opkey obs counts
+   must all equal a sequential [Engine.process ~obs] fold on one env.
+   The pool's own [pool.*] instruments have no sequential
+   counterpart and are left out of the comparison. *)
 let pool_vs_fold ~domains specs =
   let pkts = List.map mk_packet specs in
+  let seq_pkts = List.map Bitbuf.copy pkts in
   let seq =
     let env = mk_env 0 in
-    List.map
-      (fun p ->
-        verdict_summary
-          (fst (Engine.process ~registry env ~now:0.0 ~ingress:0 (Bitbuf.copy p))))
-      pkts
+    let m = Dip_obs.Metrics.create () in
+    let obs = Obs.create m in
+    let out =
+      List.map
+        (fun p ->
+          result_summary (Engine.process ~obs ~registry env ~now:0.0 ~ingress:0 p))
+        seq_pkts
+    in
+    (out, List.map Bitbuf.to_string seq_pkts, obs_counts m)
   in
   let pool =
-    Mcore.Pool.create ~domains (Mcore.Snapshot.v ~registry ~mk_env:(fun w -> mk_env w) ())
+    Mcore.Pool.create ~domains ~metrics:true
+      (Mcore.Snapshot.v ~registry ~mk_env:(fun w -> mk_env w) ())
   in
   let items =
     Array.of_list
@@ -342,19 +295,92 @@ let pool_vs_fold ~domains specs =
          pkts)
   in
   let out = Mcore.Pool.process_batch pool items in
+  let counts =
+    match Mcore.Pool.metrics pool with
+    | None -> []
+    | Some m ->
+        List.filter
+          (fun (name, _) -> not (String.starts_with ~prefix:"pool." name))
+          (obs_counts m)
+  in
   Mcore.Pool.shutdown pool;
-  (seq, Array.to_list (Array.map (fun (v, _) -> verdict_summary v) out))
+  ( seq,
+    ( Array.to_list (Array.map result_summary out),
+      Array.to_list
+        (Array.map (fun it -> Bitbuf.to_string it.Mcore.Pool.pkt) items),
+      counts ) )
 
 let prop_pool_equals_fold =
   QCheck.Test.make
-    ~name:"pool: sharded multi-domain batch ≡ sequential fold" ~count:25
+    ~name:"pool: sharded multi-domain batch ≡ sequential fold" ~count:40
     QCheck.(
       pair (int_range 1 4)
-        (list_of_size (Gen.int_range 0 30)
+        (list_of_size (Gen.int_range 0 40)
            (pair (int_range 0 2) (int_range 0 15))))
     (fun (domains, specs) ->
       let seq, pool = pool_vs_fold ~domains specs in
       seq = pool)
+
+(* The 1-domain pool is the run-to-completion batch path:
+   [Pool.process_batch] runs [Engine.process] per item and publishes
+   cache stats once per batch. Its verdicts, execution accounting and
+   obs counts equal the per-packet fold, ... *)
+let prop_batch_equals_fold =
+  QCheck.Test.make ~name:"engine: process_batch ≡ sequential process fold"
+    ~count:60
+    QCheck.(
+      list_of_size (Gen.int_range 0 40)
+        (pair (int_range 0 2) (int_range 0 15)))
+    (fun specs ->
+      let (seq_out, _, seq_counts), (pool_out, _, pool_counts) =
+        pool_vs_fold ~domains:1 specs
+      in
+      seq_out = pool_out && seq_counts = pool_counts)
+
+(* ... and it mutates the packets identically (hop limits, marks). *)
+let prop_batch_mutations_agree =
+  QCheck.Test.make ~name:"engine: batch mutates packets like process"
+    ~count:40
+    QCheck.(
+      list_of_size (Gen.int_range 1 20)
+        (pair (int_range 0 2) (int_range 0 15)))
+    (fun specs ->
+      let (_, seq_bytes, _), (_, pool_bytes, _) =
+        pool_vs_fold ~domains:1 specs
+      in
+      seq_bytes = pool_bytes)
+
+(* Regression: pool workers used to carry a parse hint of their own
+   beside their env's program cache, which [Progcache.invalidate_key]
+   never reached — the next batch was served the evicted program as a
+   hit, with its memoized verify verdict. *)
+let test_pool_sees_invalidation () =
+  let env = mk_env 0 in
+  let verifies = ref 0 in
+  let verify _ =
+    incr verifies;
+    Ok ()
+  in
+  let pool =
+    Mcore.Pool.create ~domains:1
+      (Mcore.Snapshot.v ~verify ~registry ~mk_env:(fun _ -> env) ())
+  in
+  let batch () =
+    ignore
+      (Mcore.Pool.process_batch pool
+         (Array.init 4 (fun i ->
+              { Mcore.Pool.now = 0.0; ingress = 0; pkt = mk_ipv4 i })))
+  in
+  let cache = env.Env.prog_cache in
+  batch ();
+  Alcotest.(check int) "verified once" 1 !verifies;
+  Alcotest.(check int) "one miss" 1 (Progcache.misses cache);
+  Alcotest.(check int) "entry invalidated" 1
+    (Progcache.invalidate_key cache Opkey.F_32_match);
+  batch ();
+  Alcotest.(check int) "re-verified after invalidation" 2 !verifies;
+  Alcotest.(check int) "missed after invalidation" 2 (Progcache.misses cache);
+  Mcore.Pool.shutdown pool
 
 (* --- pool: snapshot publication --- *)
 
@@ -740,6 +766,8 @@ let () =
       ( "pool",
         [
           QCheck_alcotest.to_alcotest prop_pool_equals_fold;
+          Alcotest.test_case "sees progcache invalidation" `Quick
+            test_pool_sees_invalidation;
           Alcotest.test_case "publish" `Quick test_pool_publish;
           Alcotest.test_case "publish gate rejects" `Quick
             test_pool_publish_gate_rejects;
