@@ -313,16 +313,42 @@ let opt_identity env =
     ~secret:(Dip_opt.Drkey.secret_of_string "bench-router-key")
     ~hop:1
 
+(* Standalone OPT carries no forwarding FN, so a router drops it
+   ("no-forwarding-decision"). The OPT series therefore appends a
+   4-byte DIP-32 destination to the OPT region and matches it with
+   F_32_match: the OPT FNs plus a forwarding decision (108-byte
+   header at one hop). *)
+let opt_forwarding ~payload =
+  let hops = 1 in
+  let opt_bits = Dip_opt.Header.size_bits ~hops in
+  let region = Bitbuf.create (Dip_opt.Header.size_bytes ~hops) in
+  Dip_opt.Protocol.source_init region ~base:0 ~hops ~session_id:7L ~timestamp:1l
+    ~dest_key:(String.make 16 'd') ~payload;
+  Packet.build
+    ~fns:
+      [
+        Fn.v ~loc:opt_bits ~len:32 Opkey.F_32_match;
+        Fn.v ~loc:128 ~len:128 Opkey.F_parm;
+        Fn.v ~loc:0 ~len:416 Opkey.F_mac;
+        Fn.v ~loc:288 ~len:128 Opkey.F_mark;
+        Fn.v ~tag:Fn.Host ~loc:0 ~len:opt_bits Opkey.F_ver;
+      ]
+    ~locations:(Bitbuf.to_string region ^ Ipaddr.V4.to_wire (v4 "10.1.2.3"))
+    ~payload ()
+
+(* A series that times a drop is not the series it claims to be. *)
+let check_forwards label env pkt =
+  Bitbuf.set_uint8 pkt 2 64;
+  match Engine.process ~registry env ~now:0.0 ~ingress:0 pkt with
+  | Engine.Forwarded _, _ -> ()
+  | _ -> failwith (label ^ ": the packet does not forward")
+
 let fig2_opt () =
   let env = dip_env () in
   opt_identity env;
   fun size ->
-    let pkt =
-      Realize.opt ~hops:1 ~session_id:7L ~timestamp:1l
-        ~dest_key:(String.make 16 'd')
-        ~payload:(String.make (size - 98) 'x')
-        ()
-    in
+    let pkt = opt_forwarding ~payload:(String.make (size - 108) 'x') in
+    check_forwards "DIP OPT" env pkt;
     fun () -> run_engine env pkt
 
 let fig2_ndn_opt () =
@@ -407,9 +433,7 @@ let ablation_dispatch () =
       ( "DIP-32",
         Realize.ipv4 ~src:(v4 "192.0.2.1") ~dst:(v4 "10.1.2.3")
           ~payload:(String.make 100 'x') () );
-      ( "DIP OPT",
-        Realize.opt ~hops:1 ~session_id:7L ~timestamp:1l
-          ~dest_key:(String.make 16 'd') ~payload:(String.make 100 'x') () );
+      ("DIP OPT", opt_forwarding ~payload:(String.make 100 'x'));
     ]
   in
   let t =
@@ -419,6 +443,7 @@ let ablation_dispatch () =
   in
   List.iter
     (fun (label, pkt) ->
+      check_forwards label env pkt;
       let prog =
         match Dip_pisa.Compile.compile ~registry ~template:pkt with
         | Ok p -> p
@@ -725,10 +750,8 @@ let ablation_epic () =
   (* OPT router hop. *)
   let opt_env = dip_env () in
   Env.set_opt_identity opt_env ~secret ~hop:1;
-  let opt_pkt =
-    Realize.opt ~hops:1 ~session_id:7L ~timestamp:1l
-      ~dest_key:(String.make 16 'd') ~payload:(String.make 100 'x') ()
-  in
+  let opt_pkt = opt_forwarding ~payload:(String.make 100 'x') in
+  check_forwards "OPT" opt_env opt_pkt;
   let opt_ns = bench1 "opt" (fun () -> run_engine opt_env opt_pkt) in
   (* EPIC router hop: the packet must be reset to origin form per run
      (the router replaces the HVF), which we do by re-writing the

@@ -149,10 +149,11 @@ let state_of_string s = Array.init 16 (fun i -> Char.code s.[i])
 let string_of_state st =
   String.init 16 (fun i -> Char.chr (st.(i) land 0xFF))
 
-let encrypt_block k block =
-  check_block block;
+(* AES is the A2 resubmit baseline, not the default cipher, so its
+   in-place entry point may allocate its working state. *)
+let encrypt_into k buf off =
   let s = Lazy.force sbox in
-  let st = state_of_string block in
+  let st = Array.init 16 (fun i -> Char.code (Bytes.get buf (off + i))) in
   add_round_key st k.round_keys.(0);
   for r = 1 to 9 do
     sub_bytes s st;
@@ -163,7 +164,13 @@ let encrypt_block k block =
   sub_bytes s st;
   shift_rows st;
   add_round_key st k.round_keys.(10);
-  string_of_state st
+  Array.iteri (fun i v -> Bytes.set buf (off + i) (Char.chr (v land 0xFF))) st
+
+let encrypt_block k block =
+  check_block block;
+  let buf = Bytes.of_string block in
+  encrypt_into k buf 0;
+  Bytes.unsafe_to_string buf
 
 let decrypt_block k block =
   check_block block;

@@ -16,12 +16,18 @@ let rc =
     0xD1310BA698DFB5ACL; 0x2FFD72DBD01ADFB7L; 0xB8E1AFED6A267E96L;
   |]
 
-(* One SPECK-like round: invertible because every step is. *)
-let round i (a, b) =
-  let a = Int64.add (rotr a 8) b in
-  let a = Int64.logxor a rc.(i) in
-  let b = Int64.logxor (rotl b 3) a in
-  (a, b)
+(* One SPECK-like round, applied to the two lanes in place:
+   invertible because every step is. The lanes stay in local int64
+   refs, which ocamlopt keeps unboxed, so the loop never allocates. *)
+let forward_into buf off =
+  let a = ref (Bytes.get_int64_be buf off) in
+  let b = ref (Bytes.get_int64_be buf (off + 8)) in
+  for i = 0 to rounds - 1 do
+    a := Int64.logxor (Int64.add (rotr !a 8) !b) rc.(i);
+    b := Int64.logxor (rotl !b 3) !a
+  done;
+  Bytes.set_int64_be buf off !a;
+  Bytes.set_int64_be buf (off + 8) !b
 
 let unround i (a, b) =
   let b = rotr (Int64.logxor b a) 3 in
@@ -29,9 +35,12 @@ let unround i (a, b) =
   let a = rotl (Int64.sub a b) 8 in
   (a, b)
 
-let forward blk =
-  let rec go i blk = if i = rounds then blk else go (i + 1) (round i blk) in
-  go 0 blk
+let forward (hi, lo) =
+  let buf = Bytes.create 16 in
+  Bytes.set_int64_be buf 0 hi;
+  Bytes.set_int64_be buf 8 lo;
+  forward_into buf 0;
+  (Bytes.get_int64_be buf 0, Bytes.get_int64_be buf 8)
 
 let backward blk =
   let rec go i blk = if i < 0 then blk else go (i - 1) (unround i blk) in

@@ -14,8 +14,13 @@ type block = int64 * int64
 val rounds : int
 (** Number of ARX rounds applied (12). *)
 
+val forward_into : bytes -> int -> unit
+(** [forward_into buf off] applies the permutation in place to the 16
+    big-endian bytes at [off], without allocating. Raises
+    [Invalid_argument] if they do not fit in [buf]. *)
+
 val forward : block -> block
-(** Apply the permutation. *)
+(** Apply the permutation (a wrapper over {!forward_into}). *)
 
 val backward : block -> block
 (** Invert the permutation: [backward (forward b) = b]. *)

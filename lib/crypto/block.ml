@@ -7,6 +7,7 @@ module type S = sig
   type key
 
   val expand_key : string -> key
+  val encrypt_into : key -> bytes -> int -> unit
   val encrypt_block : key -> string -> string
   val decrypt_block : key -> string -> string
 end

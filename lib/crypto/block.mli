@@ -26,9 +26,16 @@ module type S = sig
   (** [expand_key raw] precomputes the key schedule. Raises
       [Invalid_argument] if [String.length raw <> key_size]. *)
 
+  val encrypt_into : key -> bytes -> int -> unit
+  (** [encrypt_into k buf off] enciphers the [block_size] bytes at
+      [off] in place. This is the primitive {!Cbc_mac} chains; 2EM
+      runs it without allocating. Raises [Invalid_argument] if the
+      block does not fit in [buf]. *)
+
   val encrypt_block : key -> string -> string
-  (** [encrypt_block k block] enciphers exactly [block_size] bytes.
-      Raises [Invalid_argument] on a wrong-sized block. *)
+  (** [encrypt_block k block] enciphers exactly [block_size] bytes
+      (a wrapper over {!encrypt_into}). Raises [Invalid_argument] on
+      a wrong-sized block. *)
 
   val decrypt_block : key -> string -> string
   (** Inverse of {!encrypt_block}. *)

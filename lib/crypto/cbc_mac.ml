@@ -4,31 +4,40 @@ module Make (C : Block.S) = struct
   let expand_key = C.expand_key
   let passes = C.passes
 
-  let xor_into dst src =
-    for i = 0 to Bytes.length dst - 1 do
-      Bytes.set dst i (Char.chr (Char.code (Bytes.get dst i) lxor Char.code src.[i]))
-    done
-
-  (* Length block: 64-bit big-endian byte count, zero padded to a full
-     block. Prefixing (not suffixing) the length makes the encoding
-     prefix-free, which is what CBC-MAC needs for variable lengths. *)
-  let length_block n =
-    let b = Bytes.make C.block_size '\000' in
-    Bytes.set_int64_be b (C.block_size - 8) (Int64.of_int n);
-    Bytes.unsafe_to_string b
+  (* The one CBC loop. The chaining state is a per-call block (callers
+     on different domains share nothing) that starts as the length
+     block: the 64-bit big-endian byte count, zero padded. Prefixing
+     (not suffixing) the length makes the encoding prefix-free, which
+     is what CBC-MAC needs for variable lengths. The last message
+     block is zero padded. The tag is written after the last read of
+     [src], so the two ranges may overlap. *)
+  let mac_into k ~src ~src_off ~len ~dst ~dst_off =
+    let bs = C.block_size in
+    if src_off < 0 || len < 0 || src_off > Bytes.length src - len then
+      invalid_arg "Cbc_mac.mac_into: source range out of bounds";
+    if dst_off < 0 || dst_off > Bytes.length dst - bs then
+      invalid_arg "Cbc_mac.mac_into: destination range out of bounds";
+    let state = Bytes.make bs '\000' in
+    Bytes.set_int64_be state (bs - 8) (Int64.of_int len);
+    C.encrypt_into k state 0;
+    let pos = ref 0 in
+    while !pos < len do
+      for j = 0 to min bs (len - !pos) - 1 do
+        Bytes.unsafe_set state j
+          (Char.unsafe_chr
+             (Char.code (Bytes.unsafe_get state j)
+             lxor Char.code (Bytes.unsafe_get src (src_off + !pos + j))))
+      done;
+      C.encrypt_into k state 0;
+      pos := !pos + bs
+    done;
+    Bytes.blit state 0 dst dst_off bs
 
   let mac k msg =
-    let bs = C.block_size in
-    let state = ref (C.encrypt_block k (length_block (String.length msg))) in
-    let nblocks = (String.length msg + bs - 1) / bs in
-    for i = 0 to nblocks - 1 do
-      let chunk = Bytes.make bs '\000' in
-      let len = min bs (String.length msg - (i * bs)) in
-      Bytes.blit_string msg (i * bs) chunk 0 len;
-      xor_into chunk !state;
-      state := C.encrypt_block k (Bytes.unsafe_to_string chunk)
-    done;
-    !state
+    let tag = Bytes.create C.block_size in
+    mac_into k ~src:(Bytes.unsafe_of_string msg) ~src_off:0
+      ~len:(String.length msg) ~dst:tag ~dst_off:0;
+    Bytes.unsafe_to_string tag
 
   let mac_truncated k n msg =
     if n < 1 || n > C.block_size then

@@ -15,9 +15,19 @@ module Make (C : Block.S) : sig
   val expand_key : string -> key
   (** Raises [Invalid_argument] unless the key is [C.key_size] bytes. *)
 
+  val mac_into :
+    key -> src:bytes -> src_off:int -> len:int -> dst:bytes -> dst_off:int -> unit
+  (** [mac_into k ~src ~src_off ~len ~dst ~dst_off] writes the full
+      [C.block_size]-byte tag over the [len] bytes of [src] at
+      [src_off] into [dst] at [dst_off]. The one CBC loop: it chains
+      in a single per-call block (with 2EM nothing else is
+      allocated), and writes the tag after its last read of [src], so
+      the two ranges may overlap. Raises [Invalid_argument] if either
+      range is out of bounds. *)
+
   val mac : key -> string -> string
   (** [mac k msg] is the full [C.block_size]-byte tag over [msg]
-      (any length, including empty). *)
+      (any length, including empty); a wrapper over {!mac_into}. *)
 
   val mac_truncated : key -> int -> string -> string
   (** [mac_truncated k n msg] keeps the first [n] bytes of the tag.

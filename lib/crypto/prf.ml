@@ -7,16 +7,15 @@ let key_of_string s =
   M.expand_key s
 
 (* The label is framed with its own length so that (label, input)
-   pairs cannot collide across different splits of the same bytes. *)
+   pairs cannot collide across different splits of the same bytes.
+   The MAC reads the framing buffer in place. *)
 let derive k ~label input =
-  let framed =
-    let b = Buffer.create (String.length label + String.length input + 4) in
-    Buffer.add_int32_be b (Int32.of_int (String.length label));
-    Buffer.add_string b label;
-    Buffer.add_string b input;
-    Buffer.contents b
-  in
-  M.mac k framed
+  let l = String.length label in
+  let b = Bytes.create (4 + l + String.length input) in
+  Bytes.set_int32_be b 0 (Int32.of_int l);
+  Bytes.blit_string label 0 b 4 l;
+  Bytes.blit_string input 0 b (4 + l) (String.length input);
+  M.mac k (Bytes.unsafe_to_string b)
 
 let derive_int k ~label v =
   let b = Bytes.create 8 in

@@ -493,6 +493,46 @@ let test_engine_ndn_opt_data_path () =
   | Engine.Dropped r, _ -> Alcotest.failf "consumer rejected: %s" r
   | _ -> Alcotest.fail "expected verified delivery"
 
+let test_engine_ndn_opt_data_allocation () =
+  (* Allocation gate: with the MACs in place on the packet, an NDN+OPT
+     data packet (F_PIT, F_parm, F_MAC, F_mark) costs at most 3x the
+     minor words of a DIP-32 forward on the same router. Each data
+     packet is preceded by an unmeasured interest that opens its PIT
+     entry. *)
+  let name = Name.of_string "/secure/file" in
+  let env = Env.create ~name:"r" () in
+  Env.set_opt_identity env ~secret:(Dip_opt.Drkey.secret_of_string "router-secret-00") ~hop:1;
+  Dip_tables.Name_fib.insert env.Env.fib name 2;
+  Dip_ip.Ipv4.add_route env.Env.v4_routes (Ipaddr.Prefix.of_string "10.0.0.0/8") 3;
+  let dip32 = Realize.ipv4 ~src:(v4 "192.0.2.1") ~dst:(v4 "10.1.2.3") ~payload:"x" () in
+  let interest = Realize.ndn_opt_interest ~name ~payload:"" () in
+  let data =
+    Realize.ndn_opt_data ~hops:1 ~session_id:0x55AAL ~timestamp:9l
+      ~dest_key:(String.make 16 'd') ~name ~content:"secure bytes" ()
+  in
+  let n = 1000 in
+  let words ?before pkt ~ingress ~expect =
+    let total = ref 0. in
+    for i = 0 to n do
+      Option.iter
+        (fun (p, ingress) ->
+          Bitbuf.set_uint8 p 2 64;
+          ignore (Engine.process ~registry:reg env ~now:0.0 ~ingress p))
+        before;
+      Bitbuf.set_uint8 pkt 2 64;
+      let w0 = Gc.minor_words () in
+      let v, _ = Engine.process ~registry:reg env ~now:0.0 ~ingress pkt in
+      (* The first run fills the program cache and is not counted. *)
+      if i > 0 then total := !total +. (Gc.minor_words () -. w0);
+      if v <> Engine.Forwarded [ expect ] then Alcotest.fail "packet must forward"
+    done;
+    !total /. float_of_int n
+  in
+  let w32 = words dip32 ~ingress:0 ~expect:3 in
+  let wopt = words ~before:(interest, 6) data ~ingress:2 ~expect:6 in
+  if wopt > 3. *. w32 then
+    Alcotest.failf "NDN+OPT data: %.0f words/packet, over 3x DIP-32's %.0f" wopt w32
+
 (* --- Engine: XIA over DIP --- *)
 
 let test_engine_xia_forward_and_deliver () =
@@ -1338,7 +1378,10 @@ let () =
           QCheck_alcotest.to_alcotest prop_opt_random_hops_verify;
         ] );
       ( "engine-ndn-opt",
-        [ Alcotest.test_case "data path" `Quick test_engine_ndn_opt_data_path ] );
+        [
+          Alcotest.test_case "data path" `Quick test_engine_ndn_opt_data_path;
+          Alcotest.test_case "data allocation" `Quick test_engine_ndn_opt_data_allocation;
+        ] );
       ( "engine-xia",
         [
           Alcotest.test_case "forward and deliver" `Quick test_engine_xia_forward_and_deliver;

@@ -65,6 +65,17 @@ let test_em_bad_sizes () =
     (Invalid_argument "Even_mansour: block must be 16 bytes") (fun () ->
       ignore (Even_mansour.encrypt_block em_key "short"))
 
+(* Known-answer vectors, pinned so that a rewrite of the cipher, the
+   CBC loop or the PRF framing must keep every output bit-identical. *)
+let kat_msg n = String.init n (fun i -> Char.chr (((37 * i) + 11) land 0xff))
+
+let test_em_kat () =
+  let enc b = Dip_stdext.Hex.encode (Even_mansour.encrypt_block em_key b) in
+  Alcotest.(check string) "zero block" "47cbc5cbd8f63573d40892909d9ab754"
+    (enc (String.make 16 '\000'));
+  Alcotest.(check string) "ascii block" "3ed8641eab52c32aba247902da14510d"
+    (enc "0123456789abcdef")
+
 let test_em_single_pass () =
   Alcotest.(check int) "2EM is single-pass on PISA" 1 Even_mansour.passes
 
@@ -145,6 +156,14 @@ let test_mac_verify () =
     (Mac2em.verify mac_key ~tag:(Bytes.to_string bad) m);
   Alcotest.(check bool) "rejects empty tag" false (Mac2em.verify mac_key ~tag:"" m)
 
+let test_mac_kat () =
+  (* The OPT data-hash key over the 52-byte F_MAC span. *)
+  let m = kat_msg 52 in
+  Alcotest.(check string) "2EM" "232fccc7dfd789f796e2ac27eae518b2"
+    (Dip_stdext.Hex.encode (Mac2em.mac (Mac2em.expand_key "opt-data-hash-k0") m));
+  Alcotest.(check string) "AES" "7b35414c14485306e23cba830a0357c6"
+    (Dip_stdext.Hex.encode (MacAes.mac (MacAes.expand_key "opt-data-hash-k0") m))
+
 let test_mac_ciphers_disagree () =
   (* Same raw key bytes, different ciphers: tags must differ, which
      is what makes the A2 ablation a real comparison. *)
@@ -172,6 +191,22 @@ let test_prf_int () =
   let k = Prf.key_of_string "prf-master-key-0" in
   Alcotest.(check bool) "distinct ints" true
     (Prf.derive_int k ~label:"s" 1L <> Prf.derive_int k ~label:"s" 2L)
+
+let test_prf_kat () =
+  let k = Prf.key_of_string "prf-master-key-0" in
+  Alcotest.(check string) "opt-session 42" "309f50c2268daaef986f79456108b5e6"
+    (Dip_stdext.Hex.encode (Prf.derive_int k ~label:"opt-session" 42L))
+
+let test_prf_allocation () =
+  (* A derivation MACs straight from its framing buffer: the frame,
+     the chaining block and the returned key, nothing per block. *)
+  let k = Prf.key_of_string "prf-master-key-0" in
+  let f () = ignore (Sys.opaque_identity (Prf.derive_int k ~label:"opt-session" 42L)) in
+  f ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do f () done;
+  let w = (Gc.minor_words () -. w0) /. 1000. in
+  if w > 48. then Alcotest.failf "Prf.derive_int: %.1f words/call (gate 48)" w
 
 let test_siphash_reference_vectors () =
   (* Reference vectors from the SipHash paper's test program:
@@ -213,6 +248,49 @@ let prop_mac_verify_accepts =
     QCheck.small_string
     (fun m -> Mac2em.verify mac_key ~tag:(Mac2em.mac mac_key m) m)
 
+(* [mac_into] over a window of a buffer, written at an offset of
+   another, must equal [mac] of the extracted substring, leave every
+   other destination byte untouched, and reject out-of-range windows
+   with [Invalid_argument] before writing anything. *)
+let prop_mac_into_window name mac mac_into =
+  let gen =
+    QCheck.Gen.(
+      let* src = string_size (0 -- 160) in
+      let* src_off = -2 -- (String.length src + 2) in
+      let* len = -1 -- 100 in
+      let* dst = string_size (0 -- 48) in
+      let* dst_off = -2 -- String.length dst in
+      return (src, src_off, len, dst, dst_off))
+  in
+  let print (src, src_off, len, dst, dst_off) =
+    Printf.sprintf "src %d B, src_off %d, len %d, dst %d B, dst_off %d"
+      (String.length src) src_off len (String.length dst) dst_off
+  in
+  QCheck.Test.make ~name:("cbc-mac " ^ name ^ ": mac_into window = mac of substring")
+    ~count:500 (QCheck.make ~print gen)
+    (fun (src, src_off, len, dst, dst_off) ->
+      let out = Bytes.of_string dst in
+      let run () =
+        mac_into ~src:(Bytes.of_string src) ~src_off ~len ~dst:out ~dst_off
+      in
+      let in_range =
+        src_off >= 0 && len >= 0 && src_off + len <= String.length src
+        && dst_off >= 0 && dst_off + 16 <= String.length dst
+      in
+      if not in_range then
+        (try run (); false with Invalid_argument _ -> true)
+        && Bytes.to_string out = dst
+      else begin
+        run ();
+        let tag = mac (String.sub src src_off len) in
+        Bytes.sub_string out dst_off 16 = tag
+        && Bytes.sub_string out 0 dst_off = String.sub dst 0 dst_off
+        && Bytes.sub_string out (dst_off + 16) (String.length dst - dst_off - 16)
+           = String.sub dst (dst_off + 16) (String.length dst - dst_off - 16)
+      end)
+
+let aes_mac_key = MacAes.expand_key "mac-master-key-1"
+
 let () =
   Alcotest.run "crypto"
     [
@@ -228,6 +306,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_em_roundtrip;
           Alcotest.test_case "key separation" `Quick test_em_key_separation;
           Alcotest.test_case "bad sizes" `Quick test_em_bad_sizes;
+          Alcotest.test_case "known answers" `Quick test_em_kat;
           Alcotest.test_case "single pass" `Quick test_em_single_pass;
           QCheck_alcotest.to_alcotest prop_em_roundtrip;
         ] );
@@ -246,15 +325,23 @@ let () =
           Alcotest.test_case "empty message" `Quick test_mac_empty_message;
           Alcotest.test_case "truncation" `Quick test_mac_truncation;
           Alcotest.test_case "verify" `Quick test_mac_verify;
+          Alcotest.test_case "known answers" `Quick test_mac_kat;
           Alcotest.test_case "ciphers disagree" `Quick test_mac_ciphers_disagree;
           QCheck_alcotest.to_alcotest prop_mac_injective_on_samples;
           QCheck_alcotest.to_alcotest prop_mac_verify_accepts;
+          QCheck_alcotest.to_alcotest
+            (prop_mac_into_window "2EM" (Mac2em.mac mac_key) (Mac2em.mac_into mac_key));
+          QCheck_alcotest.to_alcotest
+            (prop_mac_into_window "AES" (MacAes.mac aes_mac_key)
+               (MacAes.mac_into aes_mac_key));
         ] );
       ( "prf",
         [
           Alcotest.test_case "derivation" `Quick test_prf_derivation;
           Alcotest.test_case "label framing" `Quick test_prf_label_framing;
           Alcotest.test_case "int input" `Quick test_prf_int;
+          Alcotest.test_case "known answer" `Quick test_prf_kat;
+          Alcotest.test_case "allocation" `Quick test_prf_allocation;
         ] );
       ( "siphash",
         [

@@ -205,6 +205,77 @@ let test_opt_verify_arity_guard () =
        false
      with Invalid_argument _ -> true)
 
+(* Known-answer vectors, pinned so that a rewrite of the MAC path must
+   keep every tag and every byte of a chain bit-identical. *)
+let kat_msg n = String.init n (fun i -> Char.chr (((37 * i) + 11) land 0xff))
+
+let mac_kats =
+  [
+    (0, "46333a58983694b5330dcee8b3d2408e", "557b7bcee08506a60206c53390bcf6ae");
+    (1, "0721678ff6ea40f96629fd43b9b7f662", "1551ebce28d87120caf4d9e9f5cc7a7e");
+    (15, "b0b7f4a1629411feec2a09aa35adcbd1", "f4e6258030886874bfdedf7a0313824c");
+    (16, "6df1c5a6d9d13058d09b0cdcdba398d9", "280565dea615aa20317489e222ed66f6");
+    (17, "fe90d639f94067589ecf3413981d3d3e", "15f816865b1e914f3a05857459801bfa");
+    (31, "873e79e43305a61b2b5ec94601fea436", "344b6187a9408e5b19992cdabac9ef4a");
+    (32, "0bce11dd8fcdff90ec85b0e344f1ff3c", "eb6dc7f028dab6444651c4a605082a6b");
+    (52, "232fccc7dfd789f796e2ac27eae518b2", "7b35414c14485306e23cba830a0357c6");
+    (100, "07e6a692dd1725a5866c15e7ac3f5ac1", "15a40241d494f82960a843d3b319c10b");
+  ]
+
+let test_mac_known_answers () =
+  List.iter
+    (fun (n, em2, aes) ->
+      let tag alg =
+        Dip_stdext.Hex.encode (Protocol.mac ~alg ~key:"opt-data-hash-k0" (kat_msg n))
+      in
+      Alcotest.(check string) (Printf.sprintf "2EM, %d B" n) em2 (tag Protocol.EM2);
+      Alcotest.(check string) (Printf.sprintf "AES, %d B" n) aes (tag Protocol.AES))
+    mac_kats
+
+(* A 3-hop source_init + router_update chain in a region 7 bytes into
+   the buffer, with 5 trailing bytes that must stay zero. *)
+let kat_chain alg =
+  let hops = 3 in
+  let buf = Bitbuf.create (7 + Header.size_bytes ~hops + 5) in
+  Protocol.source_init ~alg buf ~base:7 ~hops ~session_id:0x1122334455667788L
+    ~timestamp:42l ~dest_key:"dest-session-key" ~payload:"the data";
+  for hop = 1 to hops do
+    Protocol.router_update ~alg buf ~base:7 ~hop
+      ~key:(Printf.sprintf "hop-session-key%d" (hop - 1))
+  done;
+  Dip_stdext.Hex.encode (Bitbuf.to_string buf)
+
+let test_chain_known_answers () =
+  Alcotest.(check string) "2EM chain"
+    "00000000000000dcb021286bfa504cc81427af7ac8d478000000000000000011223344556677880000002a0cb1efe5043b00e0a8760ca8e859fa643e15ae3bf81c8606a18916bd12225bd9801fdff00b35795a23366ec58159b29d286870e6c4c7bfe2fd1729c60ff48a510000000000"
+    (kat_chain Protocol.EM2);
+  Alcotest.(check string) "AES chain"
+    "00000000000000dcb021286bfa504cc81427af7ac8d478000000000000000011223344556677880000002a0e8242b6c1f30be310ca798c889176ee682bf1c553e52cf8872585fdff4ab86412ed411ffeb24c19e7da63482cf0d8cf276912dfb1fdc04079ed2b7af2815c680000000000"
+    (kat_chain Protocol.AES)
+
+(* Allocation gates: the 2EM router path runs in place on the packet,
+   so a call allocates only its per-call chaining block, key schedule
+   and optional-argument box, not a copy of the span or the tag. *)
+let words_per_call f =
+  f ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do f () done;
+  (Gc.minor_words () -. w0) /. 1000.
+
+let check_words what limit w =
+  if w > limit then Alcotest.failf "%s: %.1f words/call (gate %.0f)" what w limit
+
+let test_router_path_allocation () =
+  let buf, session_keys, _ = setup ~hops:1 () in
+  let key = List.hd session_keys in
+  check_words "mac_update" 32.
+    (words_per_call (fun () -> Protocol.mac_update ~alg:Protocol.EM2 buf ~base:0 ~hop:1 ~key));
+  check_words "mark_update" 32.
+    (words_per_call (fun () -> Protocol.mark_update ~alg:Protocol.EM2 buf ~base:0 ~key));
+  let m = kat_msg 52 in
+  check_words "mac (52 B)" 32.
+    (words_per_call (fun () -> ignore (Sys.opaque_identity (Protocol.mac ~key m))))
+
 let prop_opt_random_corruption_detected =
   QCheck.Test.make ~name:"opt: any single-byte corruption of the region is caught"
     ~count:100
@@ -251,6 +322,9 @@ let () =
             test_opt_single_hop_paper_config;
           Alcotest.test_case "AES variant" `Quick test_opt_aes_variant;
           Alcotest.test_case "verify arity guard" `Quick test_opt_verify_arity_guard;
+          Alcotest.test_case "mac known answers" `Quick test_mac_known_answers;
+          Alcotest.test_case "chain known answers" `Quick test_chain_known_answers;
+          Alcotest.test_case "router path allocation" `Quick test_router_path_allocation;
           QCheck_alcotest.to_alcotest prop_opt_random_corruption_detected;
         ] );
     ]
