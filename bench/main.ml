@@ -6,7 +6,7 @@
      figure1           Figure 1 — the DIP header structure
      table2            Table 2  — packet header size overhead
      figure2           Figure 2 — packet processing time
-     ablation-dispatch A1 — Algorithm 1 interpreter vs §4.1 unrolled dispatch
+     ablation-dispatch A1 — per-packet interpreter vs cached plan (§4.1)
      ablation-mac      A2 — 2EM vs AES (the §4.1 resubmission trade-off)
      ablation-parallel A3 — the §2.2 parallel-execution flag
      ablation-fpass    A4 — §2.4 F_pass: cost and efficacy
@@ -266,8 +266,8 @@ let fig2_ipv6 () =
       Bitbuf.set_uint8 pkt 7 64;
       ignore (Sys.opaque_identity (Dip_ip.Ipv6.forward table pkt))
 
-let dip_env () =
-  let env = Env.create ~name:"bench" () in
+let dip_env ?prog_cache_capacity () =
+  let env = Env.create ?prog_cache_capacity ~name:"bench" () in
   Dip_ip.Ipv4.add_route env.Env.v4_routes (Ipaddr.Prefix.of_string "10.0.0.0/8") 1;
   Dip_ip.Ipv6.add_route env.Env.v6_routes (Ipaddr.Prefix.of_string "2001:db8::/32") 1;
   env
@@ -425,9 +425,13 @@ let figure2 () =
 (* --- A1: dispatch ablation ---------------------------------------- *)
 
 let ablation_dispatch () =
-  print_endline "== A1: Algorithm-1 interpreter vs 4.1 unrolled dispatch ==";
-  let env = dip_env () in
-  opt_identity env;
+  print_endline "== A1: per-packet interpreter vs cached plan ==";
+  let mk_env ?prog_cache_capacity () =
+    let env = dip_env ?prog_cache_capacity () in
+    opt_identity env;
+    env
+  in
+  let interp_env = mk_env ~prog_cache_capacity:0 () and plan_env = mk_env () in
   let cases =
     [
       ( "DIP-32",
@@ -439,37 +443,29 @@ let ablation_dispatch () =
   let t =
     Tabular.create
       ~aligns:[ Tabular.Left; Tabular.Right; Tabular.Right; Tabular.Right ]
-      [ "packet"; "interpreter (ns)"; "compiled (ns)"; "speedup" ]
+      [ "packet"; "interpreter (ns)"; "cached plan (ns)"; "speedup" ]
   in
   List.iter
     (fun (label, pkt) ->
-      check_forwards label env pkt;
-      let prog =
-        match Dip_pisa.Compile.compile ~registry ~template:pkt with
-        | Ok p -> p
-        | Error e -> failwith e
+      check_forwards label interp_env pkt;
+      check_forwards label plan_env pkt;
+      let interp =
+        bench1 (label ^ "/interp") (fun () -> run_engine interp_env pkt)
       in
-      let interp = bench1 (label ^ "/interp") (fun () -> run_engine env pkt) in
-      let compiled =
-        bench1
-          (label ^ "/compiled")
-          (fun () ->
-            Bitbuf.set_uint8 pkt 2 64;
-            ignore
-              (Sys.opaque_identity
-                 (Dip_pisa.Compile.run prog env ~now:0.0 ~ingress:0 pkt)))
-      in
+      let plan = bench1 (label ^ "/plan") (fun () -> run_engine plan_env pkt) in
       Tabular.add_row t
         [
           label;
           Printf.sprintf "%.0f" interp;
-          Printf.sprintf "%.0f" compiled;
-          Printf.sprintf "%.2fx" (interp /. compiled);
+          Printf.sprintf "%.0f" plan;
+          Printf.sprintf "%.2fx" (interp /. plan);
         ])
     cases;
   Tabular.print t;
   print_endline
-    "(compiled = FN triples parsed once, modules pre-resolved, preset slices)\n"
+    "(interpreter = program cache disabled: FN triples parsed and target \
+     slices derived per packet; cached plan = the program-cache entry's FN \
+     array and preset slices, one Engine.run loop for both)\n"
 
 (* --- A2: MAC cipher ablation --------------------------------------- *)
 
@@ -855,9 +851,24 @@ let cache_soak ~packets =
   in
   (total "progcache.hit", total "progcache.miss")
 
+(* Minor-heap words per cached [Progcache.parse], cycling through
+   [pkts] (one warm-up round fills the cache). Deterministic. *)
+let cached_parse_words pkts =
+  let cache = Progcache.create () in
+  Array.iter (fun p -> ignore (Progcache.parse cache p)) pkts;
+  let n = 3000 in
+  let w0 = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    ignore
+      (Sys.opaque_identity
+         (Progcache.parse cache pkts.(i mod Array.length pkts)))
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
 let bench_cache ?(smoke = false) () =
   print_endline "== program cache: cached fast path vs cold parse+verify ==";
   let verify = Dip_analysis.verifier ~registry () in
+  let name = Name.of_string "/bench/cache" in
   let mk_env ~cached =
     let env =
       Env.create ~name:"bench"
@@ -865,13 +876,26 @@ let bench_cache ?(smoke = false) () =
         ()
     in
     Dip_ip.Ipv4.add_route env.Env.v4_routes (Ipaddr.Prefix.of_string "10.0.0.0/8") 1;
+    Dip_ip.Ipv6.add_route env.Env.v6_routes
+      (Ipaddr.Prefix.of_string "2001:db8::/32") 1;
+    Dip_tables.Name_fib.insert env.Env.fib name 1;
     env
   in
   let pkt =
     Realize.ipv4 ~src:(v4 "192.0.2.1") ~dst:(v4 "10.1.2.3")
       ~payload:(String.make 100 'x') ()
   in
-  let run ?verify env =
+  (* Interleaved programs: every packet's program differs from the
+     previous one's, as on a router carrying several protocols. *)
+  let mixed =
+    [|
+      pkt;
+      Realize.ipv6 ~src:(v6 "2001:db8::1") ~dst:(v6 "2001:db8::2")
+        ~payload:(String.make 100 'x') ();
+      Realize.ndn_interest ~name ~payload:(String.make 100 'x') ();
+    |]
+  in
+  let run ?verify env pkt =
     Bitbuf.set_uint8 pkt 2 64;
     ignore
       (Sys.opaque_identity
@@ -879,17 +903,27 @@ let bench_cache ?(smoke = false) () =
   in
   let time label ~cached ~verified =
     let env = mk_env ~cached in
-    if verified then bench1 label (fun () -> run ~verify env)
-    else bench1 label (fun () -> run env)
+    if verified then bench1 label (fun () -> run ~verify env pkt)
+    else bench1 label (fun () -> run env pkt)
+  in
+  let time_mixed label ~cached =
+    let env = mk_env ~cached in
+    let k = ref 0 in
+    bench1 label (fun () ->
+        k := (!k + 1) mod Array.length mixed;
+        run env mixed.(!k))
   in
   let cold_parse = time "cold/parse" ~cached:false ~verified:false in
   let cached_parse = time "cached/parse" ~cached:true ~verified:false in
   let cold_verify = time "cold/parse+verify" ~cached:false ~verified:true in
   let cached_verify = time "cached/parse+verify" ~cached:true ~verified:true in
+  let cold_mixed = time_mixed "cold/interleaved" ~cached:false in
+  let cached_mixed = time_mixed "cached/interleaved" ~cached:true in
+  let parse_words = cached_parse_words mixed in
   let t =
     Tabular.create
       ~aligns:[ Tabular.Left; Tabular.Right; Tabular.Right; Tabular.Right ]
-      [ "DIP-32 forwarding"; "cold (ns)"; "cached (ns)"; "speedup" ]
+      [ "forwarding"; "cold (ns)"; "cached (ns)"; "speedup" ]
   in
   let row label cold cached =
     Tabular.add_row t
@@ -900,9 +934,12 @@ let bench_cache ?(smoke = false) () =
         Printf.sprintf "%.2fx" (cold /. cached);
       ]
   in
-  row "parse only" cold_parse cached_parse;
-  row "parse + static verify" cold_verify cached_verify;
+  row "DIP-32, parse only" cold_parse cached_parse;
+  row "DIP-32, parse + static verify" cold_verify cached_verify;
+  row "interleaved DIP-32/DIP-128/NDN" cold_mixed cached_mixed;
   Tabular.print t;
+  Printf.printf "cached Progcache.parse, interleaved: %.1f words/parse\n"
+    parse_words;
   let soak_packets = if smoke then 200 else 1000 in
   let hits, misses = cache_soak ~packets:soak_packets in
   let hit_rate = float_of_int hits /. float_of_int (max 1 (hits + misses)) in
@@ -921,11 +958,16 @@ let bench_cache ?(smoke = false) () =
   "cold_parse_verify_ns": %.1f,
   "cached_parse_verify_ns": %.1f,
   "parse_verify_speedup": %.3f,
+  "interleaved_cold_ns": %.1f,
+  "interleaved_cached_ns": %.1f,
+  "interleaved_speedup": %.3f,
+  "cached_parse_words": %.2f,
   "soak": { "packets": %d, "hits": %d, "misses": %d, "hit_rate": %.4f }
 }
 |}
     cold_parse cached_parse (cold_parse /. cached_parse) cold_verify
-    cached_verify (cold_verify /. cached_verify) soak_packets hits misses
+    cached_verify (cold_verify /. cached_verify) cold_mixed cached_mixed
+    (cold_mixed /. cached_mixed) parse_words soak_packets hits misses
     hit_rate;
   close_out oc;
   print_endline "wrote BENCH_PR2.json";
@@ -934,12 +976,21 @@ let bench_cache ?(smoke = false) () =
       prerr_endline "SMOKE FAIL: program cache recorded no hits on the soak workload";
       exit 1
     end;
+    (* Allocation is deterministic, so this bound is hard: a cache hit
+       allocates only the returned view and result. *)
+    if parse_words > 24. then begin
+      Printf.eprintf
+        "SMOKE FAIL: cached parse allocates %.1f words (bound 24)\n" parse_words;
+      exit 1
+    end;
     if not (cached_verify < cold_verify) then
       (* Timing on shared CI machines is noisy; warn rather than fail. *)
       Printf.eprintf
         "SMOKE WARN: cached parse+verify (%.0f ns) not faster than cold (%.0f ns)\n"
         cached_verify cold_verify;
-    print_endline "smoke ok: cache hit rate positive on the soak workload"
+    print_endline
+      "smoke ok: cache hit rate positive on the soak workload, cached parse \
+       within 24 words"
   end;
   print_newline ()
 

@@ -64,7 +64,7 @@ let get_uint t (f : Field.t) =
     let bitpos = f.off_bits + !i in
     let byte = Char.code (Bytes.unsafe_get t.data (bitpos / 8)) in
     let in_byte = bitpos mod 8 in
-    let take = min (8 - in_byte) (f.len_bits - !i) in
+    let take = Int.min (8 - in_byte) (f.len_bits - !i) in
     let chunk = (byte lsr (8 - in_byte - take)) land ((1 lsl take) - 1) in
     acc := Int64.logor (Int64.shift_left !acc take) (Int64.of_int chunk);
     i := !i + take
@@ -83,7 +83,7 @@ let set_uint t (f : Field.t) v =
     let bitpos = f.off_bits + !i in
     let pos = bitpos / 8 in
     let in_byte = bitpos mod 8 in
-    let take = min (8 - in_byte) (f.len_bits - !i) in
+    let take = Int.min (8 - in_byte) (f.len_bits - !i) in
     let shift_v = f.len_bits - !i - take in
     let chunk =
       Int64.to_int (Int64.shift_right_logical v shift_v) land ((1 lsl take) - 1)

@@ -58,25 +58,60 @@ let verdict_class = function
   | Dropped _ -> `Dropped
   | Unsupported _ -> `Unsupported
 
+(* The forwarding decision accumulated over a packet's FNs; the first
+   proposal wins. *)
+type route = No_route | Ports of Env.port list | Local
+
+(* Observability is opt-in: with [obs = None] every instrumentation
+   point is one match on an immediate. [sampled] runs (Obs sampling)
+   additionally get monotonic-clock spans. *)
+let observe obs ~sampled ~t_start verdict =
+  match obs with
+  | None -> ()
+  | Some o ->
+      Obs.verdict o (verdict_class verdict);
+      if sampled then Obs.process_ns o (Dip_obs.Clock.elapsed_ns t_start)
+
+let exec obs ~sampled impl (ctx : Registry.ctx) =
+  match obs with
+  | None -> impl ctx
+  | Some o ->
+      let key = ctx.Registry.fn.Fn.key in
+      Obs.op_run o key;
+      if sampled then begin
+        let t0 = Dip_obs.Clock.now_ns () in
+        let r = impl ctx in
+        Obs.op_ns o key (Dip_obs.Clock.elapsed_ns t0);
+        r
+      end
+      else impl ctx
+
+let skip obs key = match obs with Some o -> Obs.op_skip o key | None -> ()
+
+(* Fills the [ctx] before the first FN is known. *)
+let no_fn = Fn.v ~loc:0 ~len:1 Opkey.F_source
+
+(* The verdict while FNs remain to run; compared physically. *)
+let pending = Dropped "pending"
+
+(* Opt-in static pre-check (Dip_analysis.verifier), memoized on the
+   cache entry and keyed on the hook's physical identity: a different
+   verifier (new registry, new policy) re-checks instead of inheriting
+   a verdict it never produced. *)
+let check_program check view = function
+  | None -> check view
+  | Some e -> (
+      match e.Progcache.verdict with
+      | Some (h, v) when h == check -> v
+      | _ ->
+          let v = check view in
+          e.Progcache.verdict <- Some (check, v);
+          v)
+
 let run ?obs ?verify ~registry ~side env ~now ~ingress buf =
-  (* Observability is opt-in: with [obs = None] every instrumentation
-     point is a single match on an immediate — no clock reads, no
-     allocation. [sampled] selects the runs that additionally get
-     monotonic-clock spans (Obs sampling keeps timing overhead off
-     most packets). *)
   let sampled = match obs with None -> false | Some o -> Obs.begin_packet o in
   let t_start = if sampled then Dip_obs.Clock.now_ns () else 0L in
-  let observe verdict =
-    match obs with
-    | None -> ()
-    | Some o ->
-        Obs.verdict o (verdict_class verdict);
-        if sampled then Obs.process_ns o (Dip_obs.Clock.elapsed_ns t_start)
-  in
   let parsed =
-    (* Fast path: packets of a known program reuse the cached FN
-       array (and its memoized verification verdict) instead of
-       re-decoding the definitions. *)
     if Progcache.enabled env.Env.prog_cache then
       Progcache.parse env.Env.prog_cache buf
     else
@@ -84,165 +119,126 @@ let run ?obs ?verify ~registry ~side env ~now ~ingress buf =
       | Ok view -> Ok (view, None)
       | Error e -> Error e
   in
-  (* Opt-in static pre-check (Dip_analysis.verifier): reject a
-     malformed FN program before executing any of it. A cached
-     known-good (or known-bad) program skips re-verification. *)
   let checked =
-    match parsed with
-    | Error e -> Error ("parse: " ^ e)
-    | Ok (view, entry) -> (
-        match verify with
-        | None -> parsed
-        | Some check -> (
-            let verdict =
-              match entry with
-              | Some e -> (
-                  (* The memo is keyed on the hook's physical identity:
-                     a different verifier (new registry, new policy)
-                     re-checks instead of inheriting a verdict it never
-                     produced. *)
-                  match e.Progcache.verdict with
-                  | Some (h, v) when h == check -> v
-                  | _ ->
-                      let v = check view in
-                      e.Progcache.verdict <- Some (check, v);
-                      v)
-              | None -> check view
-            in
-            match verdict with
-            | Ok () -> parsed
-            | Error e -> Error ("verify: " ^ e)))
+    match (parsed, verify) with
+    | Error e, _ -> Error ("parse: " ^ e)
+    | Ok _, None -> parsed
+    | Ok (view, entry), Some check -> (
+        match check_program check view entry with
+        | Ok () -> parsed
+        | Error e -> Error ("verify: " ^ e))
   in
   match checked with
   | Error e ->
-      observe (Dropped e);
-      (Dropped e, no_info)
+      let v = Dropped e in
+      observe obs ~sampled ~t_start v;
+      (v, no_info)
   | Ok (view, entry) ->
+      (* The plan: FNs and preset slices, cached or derived here. *)
+      let fns = view.Packet.fns in
+      let targets =
+        match entry with
+        | Some e -> e.Progcache.targets
+        | None -> Array.map (Packet.locations_field view) fns
+      in
+      let nfns = Array.length fns in
+      let parallel = view.Packet.header.Header.parallel in
+      (* Which FNs actually executed — only needed for the parallel
+         flag's critical-path accounting. *)
+      let executed = if parallel then Array.make nfns false else [||] in
       let budget = Guard.start env.Env.guard in
       let scratch = env.Env.scratch in
       scratch.Registry.opt_key <- None;
       scratch.Registry.emit <- [];
+      let ctx =
+        {
+          Registry.env;
+          view;
+          fn = no_fn;
+          target = no_fn.Fn.field;
+          ingress;
+          now;
+          scratch;
+          budget;
+        }
+      in
       let ops_run = ref 0 and ops_skipped = ref 0 in
-      let route = ref None in
-      let nfns = Array.length view.Packet.fns in
-      (* Which FNs actually executed — only needed for the parallel
-         flag's critical-path accounting. *)
-      let executed =
-        if view.Packet.header.Header.parallel then Array.make nfns false
-        else [||]
-      in
-      let finish verdict =
-        let depth =
-          if view.Packet.header.Header.parallel then
-            if !ops_run < nfns then
-              critical_path_over view.Packet.fns ~included:(fun i ->
-                  executed.(i))
-            else
-              (* The whole program ran: the full-program path applies
-                 and is memoized on the cache entry. *)
-              match entry with
-              | Some e ->
-                  if e.Progcache.depth < 0 then
-                    e.Progcache.depth <- critical_path view.Packet.fns;
-                  e.Progcache.depth
-              | None -> critical_path view.Packet.fns
-          else !ops_run
-        in
-        observe verdict;
-        ( verdict,
-          {
-            ops_run = !ops_run;
-            ops_skipped = !ops_skipped;
-            state_bytes = Guard.state_used budget;
-            parallel_depth = depth;
-          } )
-      in
-      let rec loop i =
-        if i = nfns then
-          (* end processing: act on the accumulated decision *)
-          match (!route, side) with
-          | Some (`Ports ports), _ ->
-              if Header.decrement_hop_limit buf then finish (Forwarded ports)
-              else finish (Dropped "hop-limit-expired")
-          | Some `Local, _ -> finish Delivered
-          | None, `Host -> finish Delivered
-          | None, `Router -> finish (Dropped "no-forwarding-decision")
-        else
-          let fn = view.Packet.fns.(i) in
-          let skip_tag =
-            match (side, fn.Fn.tag) with
-            | `Router, Fn.Host -> true (* Algorithm 1 line 5 *)
-            | `Host, Fn.Router -> true
-            | (`Router | `Host), _ -> false
-          in
-          if skip_tag then begin
+      let route = ref No_route in
+      let verdict = ref pending in
+      let i = ref 0 in
+      while !verdict == pending && !i < nfns do
+        let fn = fns.(!i) in
+        let key = fn.Fn.key in
+        (match (side, fn.Fn.tag) with
+        | `Router, Fn.Host | `Host, Fn.Router ->
+            (* Algorithm 1 line 5 *)
             incr ops_skipped;
-            (match obs with Some o -> Obs.op_skip o fn.Fn.key | None -> ());
-            loop (i + 1)
-          end
-          else
-            match Registry.find registry fn.Fn.key with
+            skip obs key
+        | (`Router | `Host), _ -> (
+            match Registry.find registry key with
             | None ->
-                if mandatory fn.Fn.key then finish (Unsupported fn.Fn.key)
+                if mandatory key then verdict := Unsupported key
                 else begin
-                  (* "Otherwise, the router can simply ignore this
-                     FN" (§2.4). *)
+                  (* "Otherwise, the router can simply ignore this FN"
+                     (§2.4). *)
                   incr ops_skipped;
-                  (match obs with
-                  | Some o -> Obs.op_skip o fn.Fn.key
-                  | None -> ());
-                  loop (i + 1)
+                  skip obs key
                 end
-            | Some impl ->
+            | Some impl -> (
                 if not (Guard.charge_op budget) then
-                  finish (Dropped "guard-ops-exhausted")
+                  verdict := Dropped "guard-ops-exhausted"
                 else begin
                   incr ops_run;
-                  if view.Packet.header.Header.parallel then
-                    executed.(i) <- true;
-                  let ctx =
-                    {
-                      Registry.env;
-                      view;
-                      fn;
-                      target = Packet.locations_field view fn;
-                      ingress;
-                      now;
-                      scratch;
-                      budget;
-                    }
-                  in
-                  let outcome =
-                    match obs with
-                    | Some o ->
-                        Obs.op_run o fn.Fn.key;
-                        if sampled then begin
-                          let t0 = Dip_obs.Clock.now_ns () in
-                          let r = impl ctx in
-                          Obs.op_ns o fn.Fn.key (Dip_obs.Clock.elapsed_ns t0);
-                          r
-                        end
-                        else impl ctx
-                    | None -> impl ctx
-                  in
-                  match outcome with
-                  | Registry.Continue -> loop (i + 1)
+                  if parallel then executed.(!i) <- true;
+                  ctx.Registry.fn <- fn;
+                  ctx.Registry.target <- targets.(!i);
+                  match exec obs ~sampled impl ctx with
+                  | Registry.Continue -> ()
                   | Registry.Set_route ports ->
-                      if !route = None then route := Some (`Ports ports);
-                      loop (i + 1)
+                      if !route == No_route then route := Ports ports
                   | Registry.Deliver_local ->
-                      if !route = None then route := Some `Local;
-                      loop (i + 1)
-                  | Registry.Respond pkt -> finish (Responded pkt)
-                  | Registry.Silent -> finish Quiet
+                      if !route == No_route then route := Local
+                  | Registry.Respond pkt -> verdict := Responded pkt
+                  | Registry.Silent -> verdict := Quiet
                   | Registry.Abort reason ->
                       (match obs with
-                      | Some o -> Obs.op_error o fn.Fn.key
+                      | Some o -> Obs.op_error o key
                       | None -> ());
-                      finish (Dropped reason)
-                end
+                      verdict := Dropped reason
+                end)));
+        incr i
+      done;
+      if !verdict == pending then
+        (* end processing: act on the accumulated decision *)
+        verdict :=
+          (match (!route, side) with
+          | Ports ports, _ ->
+              if Header.decrement_hop_limit buf then Forwarded ports
+              else Dropped "hop-limit-expired"
+          | Local, _ | No_route, `Host -> Delivered
+          | No_route, `Router -> Dropped "no-forwarding-decision");
+      let depth =
+        if not parallel then !ops_run
+        else if !ops_run < nfns then
+          critical_path_over fns ~included:(fun i -> executed.(i))
+        else
+          (* The whole program ran: the full-program path applies and
+             is memoized on the cache entry. *)
+          match entry with
+          | Some e ->
+              if e.Progcache.depth < 0 then
+                e.Progcache.depth <- critical_path fns;
+              e.Progcache.depth
+          | None -> critical_path fns
       in
-      loop 0
+      observe obs ~sampled ~t_start !verdict;
+      ( !verdict,
+        {
+          ops_run = !ops_run;
+          ops_skipped = !ops_skipped;
+          state_bytes = Guard.state_used budget;
+          parallel_depth = depth;
+        } )
 
 let process ?obs ?verify ~registry env ~now ~ingress buf =
   run ?obs ?verify ~registry ~side:`Router env ~now ~ingress buf

@@ -10,24 +10,26 @@ let f_32_match ctx =
   if ctx.fn.Fn.field.Field.len_bits <> 32 then Abort "f32: field must be 32 bits"
   else
     let dst = Int64.to_int32 (Bitbuf.get_uint ctx.view.Packet.buf ctx.target) in
-    if ctx.env.Env.local_v4 = Some dst then Deliver_local
-    else
-      (* DIR-24-8 fast path: id-based lookup is allocation-free. *)
-      let id = Dip_tables.Fib.V4.lookup_id ctx.env.Env.v4_routes dst in
-      if id < 0 then Abort "no-route"
-      else Set_route [ Dip_tables.Fib.V4.value ctx.env.Env.v4_routes id ]
+    match ctx.env.Env.local_v4 with
+    | Some local when Int32.equal local dst -> Deliver_local
+    | _ ->
+        (* DIR-24-8 fast path: id-based lookup is allocation-free. *)
+        let id = Dip_tables.Fib.V4.lookup_id ctx.env.Env.v4_routes dst in
+        if id < 0 then Abort "no-route"
+        else Set_route [ Dip_tables.Fib.V4.value ctx.env.Env.v4_routes id ]
 
 let f_128_match ctx =
   if ctx.fn.Fn.field.Field.len_bits <> 128 then
     Abort "f128: field must be 128 bits"
   else
-    let dst = Ipaddr.V6.of_wire (Bitbuf.get_field ctx.view.Packet.buf ctx.target) in
-    if ctx.env.Env.local_v6 = Some dst then Deliver_local
-    else
-      let hi, lo = dst in
-      let id = Dip_tables.Fib.V6.lookup_id ctx.env.Env.v6_routes hi lo in
-      if id < 0 then Abort "no-route"
-      else Set_route [ Dip_tables.Fib.V6.value ctx.env.Env.v6_routes id ]
+    let hi, lo = Ipaddr.V6.of_wire (Bitbuf.get_field ctx.view.Packet.buf ctx.target) in
+    match ctx.env.Env.local_v6 with
+    | Some (lhi, llo) when Int64.equal lhi hi && Int64.equal llo lo ->
+        Deliver_local
+    | _ ->
+        let id = Dip_tables.Fib.V6.lookup_id ctx.env.Env.v6_routes hi lo in
+        if id < 0 then Abort "no-route"
+        else Set_route [ Dip_tables.Fib.V6.value ctx.env.Env.v6_routes id ]
 
 let f_source ctx =
   (* The source field only needs to be well-formed; routers do not
@@ -87,7 +89,9 @@ let f_pit ctx =
       match Pit.consume ctx.env.Env.pit ~key:hash ~now:ctx.now with
       | [] -> Abort "unsolicited-data"
       | ports ->
-          Env.cache_insert ctx.env hash (Packet.payload ctx.view);
+          (* Copy the payload only for a content store that exists. *)
+          if Option.is_some ctx.env.Env.cache then
+            Env.cache_insert ctx.env hash (Packet.payload ctx.view);
           Set_route ports)
 
 (* --- OPT (keys 6-9) --- *)

@@ -12,16 +12,23 @@
     the memoized verification verdict and the memoized critical-path
     depth.
 
+    An entry is the engine's plan: FN array, preset target slices and
+    depth, all fixed by the prefix bytes. It holds no operation
+    module, so a direct {!Registry.install}/[uninstall] reaches the
+    next packet; only the memoized verify verdict can go stale.
+
     One cache per {!Env} (routers differ in registry, so verdicts
     must not be shared across nodes). Control-plane FN
     install/upgrade ({!Control}) invalidates the affected entries;
-    mutating a registry behind the engine's back without going
-    through [Control] requires an explicit {!clear}. *)
+    a change behind the engine's back that alters what the verifier
+    would say requires an explicit {!clear}. *)
 
 type entry = {
   header : Header.t;  (** as parsed, with [hop_limit] forced to 0 *)
   header_len : int;  (** total header length — hit-time bounds check *)
   fns : Fn.t array;
+  targets : Dip_bitbuf.Field.t array;
+      (** [Packet.locations_field] of each FN, computed at insert *)
   loc_base : int;
   mutable depth : int;
       (** memoized {!Engine.critical_path} over the full program;
@@ -37,8 +44,8 @@ type entry = {
 type t
 
 val create : ?capacity:int -> unit -> t
-(** LRU-bounded cache of at most [capacity] (default 512) distinct
-    programs. [capacity = 0] creates a disabled cache. *)
+(** Exact-LRU cache of at most [capacity] (default 512) distinct
+    programs, O(1) eviction. [capacity = 0] creates a disabled cache. *)
 
 val enabled : t -> bool
 val set_enabled : t -> bool -> unit
@@ -54,7 +61,6 @@ val evictions : t -> int
 
 val reset_counters : t -> unit
 val size : t -> int
-val capacity : t -> int
 
 val set_flight : t -> Dip_obs.Flight.ring option -> unit
 (** Arm (or disarm) a flight-recorder ring: cache events are recorded
@@ -62,13 +68,6 @@ val set_flight : t -> Dip_obs.Flight.ring option -> unit
     ["progcache.miss"] and ["progcache.evict"] instants (every one,
     a0 = running total). The ring must belong to the domain whose
     engine owns this cache. *)
-
-val flight : t -> Dip_obs.Flight.ring option
-
-val key_of : Dip_bitbuf.Bitbuf.t -> string option
-(** The raw basic-header + FN-definition prefix with the hop-limit
-    byte zeroed; [None] when the buffer is shorter than the prefix it
-    announces. Exposed for tests. *)
 
 val parse : t -> Dip_bitbuf.Bitbuf.t -> (Packet.view * entry option, string) result
 (** {!Packet.parse} through the cache. On a hit the returned view
@@ -78,14 +77,14 @@ val parse : t -> Dip_bitbuf.Bitbuf.t -> (Packet.view * entry option, string) res
     malformed to be keyed. Cached parse and cold parse agree on every
     packet, including errors.
 
-    A run of same-program packets (the steady state of a forwarding
-    router) is served by an inline single-entry hint: a byte
-    comparison against the last program's prefix, no allocation, no
-    LRU probe. The hint is dropped on {!clear}, {!invalidate_key} and
-    eviction, so it never outlives the entry it points to. *)
+    The probe reads the packet in place (fingerprint, then a byte
+    comparison against the bucket's prefixes). A hit allocates only
+    the returned view and result and writes ints only; the key string
+    is built on a miss. *)
 
 val clear : t -> unit
-(** Drop every entry (registry changed outside {!Control}). *)
+(** Drop every entry, memoized verify verdicts with them (the world
+    the verifier checks changed outside {!Control}). *)
 
 val invalidate_key : t -> Opkey.t -> int
 (** Drop the entries whose program uses the given operation key —

@@ -9,8 +9,8 @@ type outcome =
 type ctx = {
   env : Env.t;
   view : Packet.view;
-  fn : Fn.t;
-  target : Dip_bitbuf.Field.t;
+  mutable fn : Fn.t;
+  mutable target : Dip_bitbuf.Field.t;
   ingress : Env.port;
   now : float;
   scratch : scratch;
@@ -129,20 +129,19 @@ let resolve_span ~(field : Dip_bitbuf.Field.t) ~region_bits s =
   if len <= 0 || off < 0 then None
   else Some (Dip_bitbuf.Field.v ~off_bits:off ~len_bits:len)
 
-type t = (Opkey.t, impl) Hashtbl.t
+(* Indexed by [Opkey.to_int]: dispatch is one array load. *)
+type t = impl option array
 
-let empty () : t = Hashtbl.create 16
-let install t key impl = Hashtbl.replace t key impl
-let uninstall t key = Hashtbl.remove t key
-let find t key = Hashtbl.find_opt t key
-let supports t key = Hashtbl.mem t key
+let empty () : t = Array.make (Opkey.max_key + 1) None
+let install t key impl = t.(Opkey.to_int key) <- Some impl
+let uninstall t key = t.(Opkey.to_int key) <- None
+let find t key = t.(Opkey.to_int key)
+let supports t key = Option.is_some (find t key)
 
 let supported t =
   List.filter (fun k -> supports t k) Opkey.all
 
 let restrict t keys =
   let r = empty () in
-  List.iter
-    (fun k -> match find t k with Some impl -> install r k impl | None -> ())
-    keys;
+  List.iter (fun k -> r.(Opkey.to_int k) <- find t k) keys;
   r

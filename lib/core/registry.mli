@@ -24,12 +24,13 @@ type outcome =
 
 (** Everything an operation sees: Algorithm 1's [target_field]
     resolved to an absolute bit range, plus node state and per-packet
-    scratch. *)
+    scratch. The engine sets [fn] and [target] before each FN of a
+    packet: an operation must not keep its [ctx]. *)
 type ctx = {
   env : Env.t;
   view : Packet.view;
-  fn : Fn.t;
-  target : Dip_bitbuf.Field.t;  (** absolute position in [view.buf] *)
+  mutable fn : Fn.t;
+  mutable target : Dip_bitbuf.Field.t;  (** absolute position in [view.buf] *)
   ingress : Env.port;
   now : float;
   scratch : scratch;
@@ -130,7 +131,8 @@ type t
 
 val empty : unit -> t
 val install : t -> Opkey.t -> impl -> unit
-(** Pre-write an operation module; replaces an existing one. *)
+(** Pre-write an operation module; replaces an existing one. Takes
+    effect on the next packet: nothing caches a resolved module. *)
 
 val uninstall : t -> Opkey.t -> unit
 val find : t -> Opkey.t -> impl option

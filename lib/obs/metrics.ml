@@ -75,11 +75,12 @@ module Histogram = struct
     if v < 1.0 then 0
     else
       let e = snd (Float.frexp v) in
-      Stdlib.min e (nbuckets - 1)
+      Int.min e (nbuckets - 1)
 
   let observe h v =
     let v = if v < 0.0 then 0.0 else v in
-    h.slots.(index v) <- h.slots.(index v) + 1;
+    let i = index v in
+    h.slots.(i) <- h.slots.(i) + 1;
     h.hcount <- h.hcount + 1;
     h.hsum <- h.hsum +. v;
     if v > h.hmax then h.hmax <- v

@@ -21,8 +21,10 @@
 type t
 (** A registry: a mutable set of named instruments. *)
 
-type counter
-(** Monotonically increasing integer. *)
+type counter = { mutable c : int }
+(** Monotonically increasing integer. The field is exposed so a
+    per-packet instrument in another library can bump it in place
+    instead of paying a cross-module call per event. *)
 
 type gauge
 (** Integer that can go up and down (queue depth, cache size). *)

@@ -1,17 +1,10 @@
 module Bitbuf = Dip_bitbuf.Bitbuf
 open Dip_core
 
-type slot = {
-  fn : Fn.t;
-  impl : Registry.impl;
-  target : Dip_bitbuf.Field.t; (* preset absolute slice *)
-}
-
 type t = {
+  registry : Registry.t;
   header : Header.t;
-  fns : Fn.t array;
-  loc_base : int;
-  slots : slot list; (* router-side, pre-resolved, in order *)
+  keys : Opkey.t list; (* router-side operations, in execution order *)
   shape : string; (* bytes that must match: fn_num, param, FN defs *)
 }
 
@@ -37,94 +30,33 @@ let compile ~registry ~template =
         else
           let fn = view.Packet.fns.(i) in
           if fn.Fn.tag = Fn.Host then resolve (i + 1) acc
-          else
-            match Registry.find registry fn.Fn.key with
-            | Some impl ->
-                let target = Packet.locations_field view fn in
-                resolve (i + 1) ({ fn; impl; target } :: acc)
-            | None ->
-                if Engine.mandatory fn.Fn.key then
-                  Error
-                    (Printf.sprintf "cannot compile: %s unsupported"
-                       (Opkey.name fn.Fn.key))
-                else resolve (i + 1) acc
+          else if Registry.supports registry fn.Fn.key then
+            resolve (i + 1) (fn.Fn.key :: acc)
+          else if Engine.mandatory fn.Fn.key then
+            Error
+              (Printf.sprintf "cannot compile: %s unsupported"
+                 (Opkey.name fn.Fn.key))
+          else resolve (i + 1) acc
       in
       (match resolve 0 [] with
       | Error e -> Error e
-      | Ok slots ->
-          Ok
-            {
-              header;
-              fns = view.Packet.fns;
-              loc_base = view.Packet.loc_base;
-              slots;
-              shape = shape_bytes template header;
-            })
+      | Ok keys ->
+          Ok { registry; header; keys; shape = shape_bytes template header })
 
-let fn_count t = List.length t.slots
-let keys t = List.map (fun s -> s.fn.Fn.key) t.slots
+let fn_count t = List.length t.keys
+let keys t = t.keys
 
 let matches t buf =
   Bitbuf.length buf >= Header.header_length t.header
   && String.equal t.shape (shape_bytes buf t.header)
 
-(* Mirrors Engine.run's outcome combination; the per-packet parse and
-   registry dispatch are gone — that is the point of the ablation. *)
+(* The shape check is the switch's; the execution is the engine's one
+   Algorithm-1 loop over the plan its program cache holds. *)
 let run t env ~now ~ingress buf =
   if not (matches t buf) then Engine.Dropped "shape-mismatch"
-  else begin
-    let view =
-      {
-        Packet.header = { t.header with Header.hop_limit = Bitbuf.get_uint8 buf 2 };
-        fns = t.fns;
-        loc_base = t.loc_base;
-        buf;
-      }
-    in
-    let budget = Guard.start env.Env.guard in
-    let scratch = env.Env.scratch in
-    scratch.Registry.opt_key <- None;
-    let route = ref None in
-    let rec loop = function
-      | [] -> (
-          match !route with
-          | Some (`Ports ports) ->
-              if Header.decrement_hop_limit buf then Engine.Forwarded ports
-              else Engine.Dropped "hop-limit-expired"
-          | Some `Local -> Engine.Delivered
-          | None -> Engine.Dropped "no-forwarding-decision")
-      | slot :: rest -> (
-          if not (Guard.charge_op budget) then
-            Engine.Dropped "guard-ops-exhausted"
-          else
-            let ctx =
-              {
-                Registry.env;
-                view;
-                fn = slot.fn;
-                target = slot.target;
-                ingress;
-                now;
-                scratch;
-                budget;
-              }
-            in
-            match slot.impl ctx with
-            | Registry.Continue -> loop rest
-            | Registry.Set_route ports ->
-                if !route = None then route := Some (`Ports ports);
-                loop rest
-            | Registry.Deliver_local ->
-                if !route = None then route := Some `Local;
-                loop rest
-            | Registry.Respond pkt -> Engine.Responded pkt
-            | Registry.Silent -> Engine.Quiet
-            | Registry.Abort reason -> Engine.Dropped reason)
-    in
-    loop t.slots
-  end
+  else fst (Engine.process ~registry:t.registry env ~now ~ingress buf)
 
 let estimate t ?alg ?parallel config =
   Cost.estimate config ?alg ?parallel
     ~header_bytes:(Header.header_length t.header)
-    (keys t)
+    t.keys

@@ -1,4 +1,5 @@
-(** Unrolled FN dispatch — the §4.1 compilation strategy.
+(** Unrolled FN dispatch — the §4.1 compilation strategy, as the
+    cost model sees it.
 
     "It was challenging to implement a loop to invoke the operation
     modules. We use the simple 'if-else' statement with FN_Num to
@@ -7,15 +8,13 @@
     fixed field slices and use some tables to match the target
     field."
 
-    {!compile} takes a {e template} DIP packet and pre-resolves
-    everything Algorithm 1 would do per packet: the FN triples are
-    parsed once, each operation module is looked up once, and each
-    target field becomes a preset slice. The compiled program then
-    processes any packet with the {e same header shape} (same FN
-    definitions and locations length — the preset-slice restriction)
-    without re-parsing or re-dispatching. The dispatch ablation (A1
-    in DESIGN.md) measures interpreter vs compiled on identical
-    packets. *)
+    The engine's program cache holds the plan (FN array and preset
+    slices, {!Dip_core.Progcache.entry}). {!compile} checks a
+    {e template} packet against a registry and records its header
+    shape (same FN definitions and locations length — the
+    preset-slice restriction); {!run} admits only that shape and
+    hands it to {!Dip_core.Engine.process}; {!estimate} prices the
+    program on a PISA switch. *)
 
 type t
 
@@ -23,8 +22,8 @@ val compile :
   registry:Dip_core.Registry.t ->
   template:Dip_bitbuf.Bitbuf.t ->
   (t, string) result
-(** Pre-resolve a packet shape. Fails on unparseable templates or on
-    router-mandatory FNs missing from the registry. *)
+(** Check and record a packet shape. Fails on unparseable templates
+    or on router-mandatory FNs missing from the registry. *)
 
 val fn_count : t -> int
 (** Router-side operations in the unrolled program. *)
@@ -43,9 +42,9 @@ val run :
   ingress:Dip_core.Env.port ->
   Dip_bitbuf.Bitbuf.t ->
   Dip_core.Engine.verdict
-(** Execute the unrolled program on a packet of the compiled shape.
-    Returns [Dropped "shape-mismatch"] when {!matches} fails —
-    a real switch would send such packets to the slow path. *)
+(** {!Dip_core.Engine.process}'s verdict with the compiled registry,
+    or [Dropped "shape-mismatch"] when {!matches} fails — a real
+    switch would send such packets to the slow path. *)
 
 val estimate : t -> ?alg:Dip_opt.Protocol.alg -> ?parallel:bool -> Cost.config -> Cost.estimate
 (** The cost model's view of this program. *)

@@ -13,6 +13,16 @@ let v4 = Ipaddr.V4.of_string
 let v6 = Ipaddr.V6.of_string
 let reg = Ops.default_registry ()
 
+(* Minor-heap words per call of [f i], [i] from 1 to [n], after one
+   uncounted warm-up call. *)
+let words_per_call ?(n = 1000) f =
+  f 0;
+  let w0 = Gc.minor_words () in
+  for i = 1 to n do
+    f i
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
 (* --- Opkey --- *)
 
 let test_opkey_table1 () =
@@ -368,6 +378,37 @@ let test_engine_ndn_no_fib () =
   match Engine.process ~registry:reg env ~now:0.0 ~ingress:0 interest with
   | Engine.Dropped "no-fib-entry", _ -> ()
   | _ -> Alcotest.fail "expected FIB miss"
+
+(* F_PIT copies the payload into the content store only when the node
+   has one: without a store, a data packet's allocation does not grow
+   with its payload. *)
+let test_engine_ndn_data_copy_only_with_store () =
+  let name = Name.of_string "/video/intro.mp4" in
+  let interest = Realize.ndn_interest ~name ~payload:"" () in
+  let words size =
+    let env = ndn_env () in
+    let data = Realize.ndn_data ~name ~content:(String.make size 'c') () in
+    words_per_call ~n:100 (fun _ ->
+        Bitbuf.set_uint8 interest 2 64;
+        ignore (Engine.process ~registry:reg env ~now:0.0 ~ingress:7 interest);
+        Bitbuf.set_uint8 data 2 64;
+        let v, _ = Engine.process ~registry:reg env ~now:0.0 ~ingress:2 data in
+        if v <> Engine.Forwarded [ 7 ] then Alcotest.fail "data must follow the PIT")
+  in
+  Alcotest.(check (float 0.)) "no store: 100 B and 1400 B data allocate alike"
+    (words 100) (words 1400);
+  let env = ndn_env ~cache_capacity:4 () in
+  let content = String.make 1400 'c' in
+  ignore (Engine.process ~registry:reg env ~now:0.0 ~ingress:7 interest);
+  ignore
+    (Engine.process ~registry:reg env ~now:0.1 ~ingress:2
+       (Realize.ndn_data ~name ~content ()));
+  match Engine.process ~registry:reg env ~now:0.2 ~ingress:9 interest with
+  | Engine.Responded reply, _ -> (
+      match Packet.parse reply with
+      | Ok view -> Alcotest.(check string) "served from the store" content (Packet.payload view)
+      | Error e -> Alcotest.fail e)
+  | _ -> Alcotest.fail "with a store, the content must be cached and served"
 
 (* --- Engine: OPT over DIP, full 3-hop chain --- *)
 
@@ -954,6 +995,108 @@ let test_progcache_stale_verdict_without_control () =
   Alcotest.(check bool) "clear unsticks it" true
     (match run () with Engine.Forwarded _ -> true | _ -> false)
 
+(* A direct registry change (not through Control) must reach the next
+   packet even when that packet is a cache hit: the cached plan holds
+   no operation module. *)
+let test_progcache_direct_uninstall () =
+  let live = Registry.restrict reg [ Opkey.F_32_match; Opkey.F_source ] in
+  let env = mk_cached_env () in
+  let c = env.Env.prog_cache in
+  let run () = fst (Engine.process ~registry:live env ~now:0.0 ~ingress:0 (dip32 ())) in
+  Alcotest.(check bool) "forwards" true
+    (match run () with Engine.Forwarded [ 1 ] -> true | _ -> false);
+  Registry.uninstall live Opkey.F_32_match;
+  Alcotest.(check bool) "uninstalled F_32_match is skipped" true
+    (run () = Engine.Dropped "no-forwarding-decision");
+  Registry.install live Opkey.F_32_match
+    (Option.get (Registry.find reg Opkey.F_32_match));
+  Alcotest.(check bool) "reinstalled F_32_match forwards" true
+    (match run () with Engine.Forwarded [ 1 ] -> true | _ -> false);
+  Alcotest.(check int) "every later packet was a hit" 2 (Progcache.hits c)
+
+let test_progcache_hit_allocation () =
+  (* Interleaved programs: every parse probes for a different entry
+     than the last, so no single-entry shortcut applies. A hit
+     allocates the returned view and result only. *)
+  let c = Progcache.create () in
+  let pkts =
+    [|
+      dip32 ();
+      Realize.ipv6 ~src:(v6 "2001:db8::1") ~dst:(v6 "2001:db8::2")
+        ~payload:"p" ();
+      Realize.ndn_interest ~name:(Name.of_string "/a/b") ~payload:"p" ();
+    |]
+  in
+  Array.iter (fun p -> ignore (Progcache.parse c p)) pkts;
+  let w =
+    words_per_call ~n:3000 (fun i ->
+        ignore (Sys.opaque_identity (Progcache.parse c pkts.(i mod 3))))
+  in
+  Alcotest.(check int) "all hits" 3001 (Progcache.hits c);
+  if w > 24. then Alcotest.failf "cached parse: %.1f words, bound 24" w
+
+let test_engine_dip32_allocation () =
+  let env = mk_cached_env () in
+  let pkt = dip32 () in
+  let w =
+    words_per_call (fun _ ->
+        Bitbuf.set_uint8 pkt 2 64;
+        match Engine.process ~registry:reg env ~now:0.0 ~ingress:0 pkt with
+        | Engine.Forwarded [ 1 ], _ -> ()
+        | _ -> Alcotest.fail "DIP-32 must forward")
+  in
+  if w > 64. then Alcotest.failf "warm DIP-32: %.1f words/packet, bound 64" w
+
+(* Cached and cold engines agree on verdicts, accounting and packet
+   bytes while up to eight interleaved programs churn through a
+   1–3 entry cache. *)
+let prop_progcache_engine_agree =
+  let name = Name.of_string "/a/b" in
+  let mk capacity =
+    let env = mk_cached_env ~capacity () in
+    Dip_ip.Ipv6.add_route env.Env.v6_routes
+      (Ipaddr.Prefix.of_string "2001:db8::/32") 2;
+    Dip_tables.Name_fib.insert env.Env.fib name 3;
+    env
+  in
+  let pkt (kind, x) =
+    let hop_limit = x mod 3 in
+    match kind with
+    | 0 ->
+        Realize.ipv4 ~hop_limit ~src:(v4 "192.0.2.1")
+          ~dst:(Ipaddr.V4.of_octets (if x land 8 = 0 then 10 else 11) 1 2 x)
+          ~payload:"p" ()
+    | 1 ->
+        Realize.ipv6 ~hop_limit ~src:(v6 "2001:db8::1") ~dst:(v6 "2001:db8::2")
+          ~payload:"p" ()
+    | 2 -> Realize.ndn_interest ~hop_limit ~name ~payload:"p" ()
+    | 3 -> Realize.ndn_data ~hop_limit ~name ~content:"c" ()
+    | _ ->
+        (* Four more programs: the parallel flag and the F_source
+           slice vary. *)
+        Packet.build ~hop_limit ~parallel:(x land 1 = 1)
+          ~fns:
+            [
+              Fn.v ~loc:0 ~len:32 Opkey.F_32_match;
+              Fn.v ~loc:(32 * (1 + ((x lsr 1) land 1))) ~len:32 Opkey.F_source;
+            ]
+          ~locations:(String.make 12 '\x0a') ~payload:"p" ()
+  in
+  QCheck.Test.make ~name:"progcache: cached engine ≡ cold engine under eviction"
+    ~count:200
+    QCheck.(
+      pair (int_range 1 3)
+        (list_of_size (Gen.int_range 1 40) (pair (int_range 0 4) (int_range 0 255))))
+    (fun (capacity, specs) ->
+      let cached = mk capacity and cold = mk 0 in
+      List.for_all
+        (fun spec ->
+          let a = pkt spec and b = pkt spec in
+          let va, ia = Engine.process ~registry:reg cached ~now:0.0 ~ingress:0 a in
+          let vb, ib = Engine.process ~registry:reg cold ~now:0.0 ~ingress:0 b in
+          va = vb && ia = ib && Bitbuf.equal a b)
+        specs)
+
 (* --- bootstrap --- *)
 
 let test_bootstrap_local_offer () =
@@ -1368,6 +1511,8 @@ let () =
           Alcotest.test_case "interest/data" `Quick test_engine_ndn_interest_then_data;
           Alcotest.test_case "cache responds" `Quick test_engine_ndn_cache_responds;
           Alcotest.test_case "no fib" `Quick test_engine_ndn_no_fib;
+          Alcotest.test_case "payload copied only with a store" `Quick
+            test_engine_ndn_data_copy_only_with_store;
         ] );
       ( "engine-opt",
         [
@@ -1430,6 +1575,12 @@ let () =
           Alcotest.test_case "stale without control" `Quick
             test_progcache_stale_verdict_without_control;
           QCheck_alcotest.to_alcotest prop_progcache_cold_agree;
+          Alcotest.test_case "direct uninstall seen" `Quick
+            test_progcache_direct_uninstall;
+          Alcotest.test_case "hit allocation" `Quick test_progcache_hit_allocation;
+          Alcotest.test_case "warm DIP-32 allocation" `Quick
+            test_engine_dip32_allocation;
+          QCheck_alcotest.to_alcotest prop_progcache_engine_agree;
         ] );
       ( "bootstrap",
         [
