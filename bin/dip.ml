@@ -376,12 +376,10 @@ let demo_parallel proto n count no_cache metrics domains flight =
   else
     List.iteri
       (fun i pool ->
-        let c = Dip_mcore.Pool.counters pool in
+        let hits, misses = Dip_mcore.Pool.progcache_totals pool in
         Printf.printf
           "  r%d program cache (%d worker envs): %d hit(s), %d miss(es)\n"
-          (i + 1) domains
-          (Dip_netsim.Stats.Counters.get c "progcache.hit")
-          (Dip_netsim.Stats.Counters.get c "progcache.miss"))
+          (i + 1) domains hits misses)
       pools;
   (match (metrics, m) with
   | Some fmt, Some m ->
@@ -506,8 +504,8 @@ let demo proto n count no_cache metrics domains flight =
       (fun env ->
         Printf.printf "  %s program cache: %d hit(s), %d miss(es)\n"
           env.Env.name
-          (Dip_netsim.Stats.Counters.get env.Env.counters "progcache.hit")
-          (Dip_netsim.Stats.Counters.get env.Env.counters "progcache.miss"))
+          (Progcache.hits env.Env.prog_cache)
+          (Progcache.misses env.Env.prog_cache))
       routers;
   (match (metrics, obs) with
   | Some fmt, Some o ->

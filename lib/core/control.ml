@@ -154,10 +154,6 @@ let handler ~key ~env ~registry ~master inner =
   fun sim ~now ~ingress packet ->
     if is_control packet then
       match apply ~key ~state ~env ~registry ~master packet with
-      | Ok _ ->
-          Dip_netsim.Stats.Counters.incr env.Env.counters "control.applied";
-          [ Dip_netsim.Sim.Consume ]
-      | Error reason ->
-          Dip_netsim.Stats.Counters.incr env.Env.counters "control.rejected";
-          [ Dip_netsim.Sim.Drop ("control: " ^ reason) ]
+      | Ok _ -> [ Dip_netsim.Sim.Consume ]
+      | Error reason -> [ Dip_netsim.Sim.Drop ("control: " ^ reason) ]
     else inner sim ~now ~ingress packet

@@ -74,12 +74,6 @@ let ev_evict = Dip_obs.Flight.register "custody.evict"
 let ev_reject = Dip_obs.Flight.register "custody.reject"
 let ev_replay = Dip_obs.Flight.register "custody.replay"
 
-let counter_name = function
-  | Custody_store.Take -> "custody.take"
-  | Custody_store.Release -> "custody.release"
-  | Custody_store.Evict -> "custody.evict"
-  | Custody_store.Reject -> "custody.reject"
-
 let event_id = function
   | Custody_store.Take -> ev_take
   | Custody_store.Release -> ev_release
@@ -91,11 +85,10 @@ let make_store cfg =
   Custody_store.create ~capacity:cfg.capacity ~max_bytes:cfg.max_bytes
     ~size:Bitbuf.length ()
 
-(* Mirror store transitions into the env counters (so chaos/bench
-   reports see custody.{take,release,evict,reject} next to the dip.*
-   counters), an optional depth gauge, and optional Flight instants. *)
-let observe ?gauge ?flight ~env ~store ~node ev =
-  Stats.Counters.incr env.Env.counters (counter_name ev);
+(* Feed store transitions to an optional depth gauge and optional
+   Flight instants; the store counts them itself
+   ([Custody_store.counters]). *)
+let observe ?gauge ?flight ~store ~node ev =
   (match gauge with
   | Some g -> Dip_obs.Metrics.Gauge.set g (Custody_store.size store)
   | None -> ());
@@ -107,8 +100,6 @@ let observe ?gauge ?flight ~env ~store ~node ev =
 let enable ?(config = default_config) env =
   let store = make_store config in
   env.Env.custody <- Some store;
-  Custody_store.set_observer store
-    (observe ?gauge:None ?flight:None ~env ~store ~node:0);
   store
 
 type router = {
@@ -191,7 +182,7 @@ let add_router ?obs ?metrics ?flight ?(config = default_config) sim ~registry
     | None -> None
   in
   Custody_store.set_observer store
-    (observe ?gauge ?flight ~env ~store ~node:t.node);
+    (observe ?gauge ?flight ~store ~node:t.node);
   t
 
 let stats t =

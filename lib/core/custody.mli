@@ -90,8 +90,9 @@ val add_router :
     custody store on [env], a replay path out of [out_port], and the
     periodic safety sweep. [metrics] adds a ["custody.<name>.depth"]
     gauge; store transitions and replays land in [flight] as
-    instants ([custody.take/release/evict/reject/replay]) and in the
-    env counters under the same names. *)
+    instants ([custody.take/release/evict/reject/replay]). The store
+    counts transitions itself ({!stats}); replays are also counted
+    in the simulator's ["custody.replay"] counter. *)
 
 val node : router -> Dip_netsim.Sim.node_id
 val env : router -> Env.t

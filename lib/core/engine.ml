@@ -246,8 +246,6 @@ let process ?obs ?verify ~registry env ~now ~ingress buf =
 let host_process ?obs ?verify ~registry env ~now ~ingress buf =
   run ?obs ?verify ~registry ~side:`Host env ~now ~ingress buf
 
-let count env key = Dip_netsim.Stats.Counters.incr env.Env.counters key
-
 (* Auxiliary transmissions (scratch.emit, pushed by F_cust) precede
    the verdict's own actions: custody is taken — and ACKed — even
    when a later decision drops the packet (hop-limit expiry), which
@@ -262,31 +260,27 @@ let drain_aux env =
       env.Env.scratch.Registry.emit <- [];
       List.rev_map (fun (p, pkt) -> Dip_netsim.Sim.Forward (p, pkt)) l
 
-let verdict_actions env ~ingress buf = function
-  | Forwarded ports ->
-      count env "dip.forwarded";
-      (* Fan-out copies must not share storage: every downstream hop
-         mutates its packet in place (hop limit, tag updates), so two
-         in-flight copies aliasing one Bitbuf.t would corrupt each
-         other. The first port keeps the original buffer. *)
-      List.mapi
-        (fun i p ->
-          Dip_netsim.Sim.Forward (p, if i = 0 then buf else Bitbuf.copy buf))
-        ports
-  | Delivered ->
-      count env "dip.delivered";
-      [ Dip_netsim.Sim.Consume ]
-  | Responded reply ->
-      count env "dip.responded";
-      [ Dip_netsim.Sim.Forward (ingress, reply) ]
-  | Quiet ->
-      count env "dip.quiet";
-      []
-  | Dropped reason ->
-      count env ("dip.drop." ^ reason);
-      [ Dip_netsim.Sim.Drop reason ]
+(* Fan-out copies must not share storage: every downstream hop
+   mutates its packet in place (hop limit, tag updates), so two
+   in-flight copies aliasing one Bitbuf.t would corrupt each other.
+   The first port keeps the original buffer. No closure, so a unicast
+   forward allocates only its one-element action list. *)
+let rec copies_to buf = function
+  | [] -> []
+  | p :: rest ->
+      Dip_netsim.Sim.Forward (p, Bitbuf.copy buf) :: copies_to buf rest
+
+let fan_out buf = function
+  | [] -> []
+  | p :: rest -> Dip_netsim.Sim.Forward (p, buf) :: copies_to buf rest
+
+let verdict_actions ~ingress buf = function
+  | Forwarded ports -> fan_out buf ports
+  | Delivered -> [ Dip_netsim.Sim.Consume ]
+  | Responded reply -> [ Dip_netsim.Sim.Forward (ingress, reply) ]
+  | Quiet -> []
+  | Dropped reason -> [ Dip_netsim.Sim.Drop reason ]
   | Unsupported key ->
-      count env ("dip.unsupported." ^ Opkey.name key);
       [
         Dip_netsim.Sim.Forward (ingress, Errors.fn_unsupported ~key ~rejected:buf);
         Dip_netsim.Sim.Drop ("unsupported-" ^ Opkey.name key);
@@ -294,18 +288,14 @@ let verdict_actions env ~ingress buf = function
 
 let actions_of_verdict env ~ingress buf verdict =
   match drain_aux env with
-  | [] -> verdict_actions env ~ingress buf verdict
-  | aux -> aux @ verdict_actions env ~ingress buf verdict
-
-let publish_stats ?obs env =
-  Env.publish_cache_stats env;
-  match obs with
-  | None -> ()
-  | Some o -> Obs.publish_cache o env.Env.prog_cache
+  | [] -> verdict_actions ~ingress buf verdict
+  | aux -> aux @ verdict_actions ~ingress buf verdict
 
 let sim_node run ?obs ?verify ~registry env _sim ~now ~ingress packet =
   let verdict, _info = run ?obs ?verify ~registry env ~now ~ingress packet in
-  publish_stats ?obs env;
+  (match obs with
+  | None -> ()
+  | Some o -> Obs.publish_cache o env.Env.prog_cache);
   actions_of_verdict env ~ingress packet verdict
 
 let handler = sim_node process

@@ -113,19 +113,12 @@ val actions_of_verdict :
 (** The router-side verdict → simulator-action translation {!handler}
     applies: [Forwarded] becomes per-port transmissions (with fan-out
     buffer copies), [Unsupported] becomes the §2.3 FN-unsupported
-    notification plus a drop, and so on. Counts the verdict into
-    [env]'s counters. Also drains the auxiliary-transmission channel
-    ([scratch.emit] — custody ACKs pushed by F_cust during the
-    preceding [process]) into leading [Forward] actions. Exposed so
-    batched dispatchers ({!Dip_mcore.Pool}) can produce action lists
-    off the handler path. *)
-
-val publish_stats : ?obs:Obs.t -> Env.t -> unit
-(** Mirror [env]'s program-cache totals into its
-    {!Dip_netsim.Stats.Counters} and, with [obs], into the
-    [engine.progcache.*] gauges. {!handler} and {!host_handler} call
-    it after every packet; a dispatcher that runs many packets per
-    call ({!Dip_mcore.Pool}) calls it once per batch. *)
+    notification plus a drop, and so on. Also drains the
+    auxiliary-transmission channel ([scratch.emit] — custody ACKs
+    pushed by F_cust during the preceding [process]) into leading
+    [Forward] actions. Exposed so batched dispatchers
+    ({!Dip_mcore.Pool}) can produce action lists off the handler
+    path. *)
 
 val handler :
   ?obs:Obs.t ->
@@ -135,8 +128,11 @@ val handler :
   Dip_netsim.Sim.handler
 (** A DIP router as a simulator node. Unsupported-FN verdicts send
     an {!Errors.fn_unsupported} notification back out the ingress
-    port. Publishes the node's program-cache totals
-    ({!publish_stats}) after every packet. *)
+    port. The simulator counts each resulting action per node
+    ([<node>.tx], [<node>.consumed], [<node>.drop.<reason>]); with
+    [obs], the node's program-cache totals are copied into the
+    [engine.progcache.*] gauges ({!Obs.publish_cache}) after every
+    packet. *)
 
 val host_handler :
   ?obs:Obs.t ->

@@ -27,7 +27,6 @@ type t = {
   mutable node_id : int;
   mutable queue_depth : unit -> int;
   guard : Guard.t;
-  counters : Dip_netsim.Stats.Counters.t;
   scratch : scratch;
   prog_cache : Progcache.t;
   mutable custody :
@@ -61,7 +60,6 @@ let create ?(cache_capacity = 0) ?(pit_capacity = 65536)
     node_id = 0;
     queue_depth = (fun () -> 0);
     guard = (match guard with Some g -> g | None -> Guard.create ());
-    counters = Dip_netsim.Stats.Counters.create ();
     scratch = { opt_key = None; emit = [] };
     prog_cache = Progcache.create ~capacity:prog_cache_capacity ();
     custody = None;
@@ -92,11 +90,3 @@ let cache_find t h =
 
 let cache_insert t h v =
   match t.cache with Some c -> Dip_tables.Lru.insert c h v | None -> ()
-
-let publish_cache_stats t =
-  Dip_netsim.Stats.Counters.set t.counters "progcache.hit"
-    (Progcache.hits t.prog_cache);
-  Dip_netsim.Stats.Counters.set t.counters "progcache.miss"
-    (Progcache.misses t.prog_cache);
-  Dip_netsim.Stats.Counters.set t.counters "progcache.evict"
-    (Progcache.evictions t.prog_cache)

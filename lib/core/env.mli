@@ -68,9 +68,10 @@ type t = {
   mutable queue_depth : unit -> int;
   (* §2.4 security guard: hard limits on per-packet work/state. *)
   guard : Guard.t;
-  counters : Dip_netsim.Stats.Counters.t;
   (* Hot-path state: the reused per-packet scratch and the
-     decoded-FN-program cache. *)
+     decoded-FN-program cache. The cache keeps the node's only
+     hit/miss/evict totals ({!Progcache.hits} etc.); {!Obs.publish_cache}
+     copies them into metrics gauges. *)
   scratch : scratch;
   prog_cache : Progcache.t;
   (* Custody transfer (F_cust, key 16): the bounded per-router bundle
@@ -124,10 +125,3 @@ val cache_find : t -> int32 -> string option
 val cache_insert : t -> int32 -> string -> unit
 (** Hashed-name content store access (no-ops when the cache is
     disabled). *)
-
-val publish_cache_stats : t -> unit
-(** Copy the program-cache hit/miss/evict totals into
-    {!field-counters} as ["progcache.hit"] / ["progcache.miss"] /
-    ["progcache.evict"], the per-node simulator stats. The engine's
-    simulator handlers do this after every packet; call it manually
-    when driving {!Engine.process} directly. *)

@@ -55,7 +55,7 @@ val flight : t -> Dip_obs.Flight.ring option
 val publish_cache : t -> Progcache.t -> unit
 (** Mirror the program cache's hit/miss/evict totals into the
     ["<p>.progcache.*"] gauges. The engine's simulator handlers call
-    this after every packet. *)
+    this after every packet, {!Dip_mcore.Pool} once per batch. *)
 
 (** {1 Engine-facing recording}
 

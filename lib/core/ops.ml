@@ -352,8 +352,7 @@ let f_cust ctx =
     let bundle = Custody.read_bundle buf ~base in
     let ack_upstream () =
       ctx.scratch.emit <-
-        (ctx.ingress, Custody.build_ack ~bundle) :: ctx.scratch.emit;
-      Dip_netsim.Stats.Counters.incr ctx.env.Env.counters "custody.ack"
+        (ctx.ingress, Custody.build_ack ~bundle) :: ctx.scratch.emit
     in
     if flags land Custody.flag_ack <> 0 then begin
       (* Hop-local custody ACK: downstream holds the bundle now. *)

@@ -4,7 +4,6 @@ module Env = Dip_core.Env
 module Obs = Dip_core.Obs
 module Progcache = Dip_core.Progcache
 module Metrics = Dip_obs.Metrics
-module Counters = Dip_netsim.Stats.Counters
 module F = Dip_obs.Flight
 
 type item = { now : float; ingress : Env.port; pkt : Bitbuf.t }
@@ -87,10 +86,12 @@ type t = {
   obs_sample_every : int option;
   spin : int; (* busy-poll budget for workers and the dispatcher *)
   mutable free_tickets : ticket list; (* dispatcher-domain private *)
-  (* Counters/metrics of retired epochs, absorbed at publish time so
-     a configuration swap does not silently zero the pool's history
-     (the epoch's envs die with it otherwise). *)
-  acc_counters : Counters.t;
+  (* Program-cache hit/miss totals and metrics of retired epochs,
+     absorbed at publish time so a configuration swap does not
+     silently zero the pool's history (the epoch's envs die with it
+     otherwise). *)
+  mutable acc_hits : int;
+  mutable acc_misses : int;
   acc_metrics : Metrics.t option;
   (* Flight lanes (see the ring-layout comment above); all [None]
      when the recorder is off, so the hot paths pay one array read. *)
@@ -156,8 +157,8 @@ let note_gc t w fl =
    [pub]: the pool's only packet-execution path, shared by the ring
    workers and the 1-domain run-to-completion branch so the two cannot
    drift. Item [k]'s results go to caller slot [idxs.(k)] ([k] itself
-   when [idxs] is [None]). Cache stats are published once per job;
-   [t0] opens the ["pool.execute"] span. *)
+   when [idxs] is [None]). With an observer, cache stats are published
+   once per job; [t0] opens the ["pool.execute"] span. *)
 let execute_items t w pub ~t0 ~want_actions items idxs n verdicts actions =
   let env = pub.envs.(w) and obs = pub.obses.(w) in
   let { Snapshot.verify; registry; _ } = pub.snap in
@@ -173,7 +174,9 @@ let execute_items t w pub ~t0 ~want_actions items idxs n verdicts actions =
       actions.(i) <-
         Engine.actions_of_verdict env ~ingress:it.ingress it.pkt verdict
   done;
-  Engine.publish_stats ?obs env;
+  (match obs with
+  | None -> ()
+  | Some o -> Obs.publish_cache o env.Env.prog_cache);
   let fl = t.fl_rings.(w + 1) in
   (match fl with
   | None -> ()
@@ -251,7 +254,8 @@ let create ?(queue_capacity = 64) ?(metrics = false) ?obs_sample_every ?flight
       obs_sample_every;
       spin = spin_budget ~domains;
       free_tickets = [];
-      acc_counters = Counters.create ();
+      acc_hits = 0;
+      acc_misses = 0;
       acc_metrics;
       fl_rings;
       pub_counter =
@@ -296,18 +300,18 @@ let create ?(queue_capacity = 64) ?(metrics = false) ?obs_sample_every ?flight
 let domains t = t.ndomains
 let epoch t = (Atomic.get t.current).snap.Snapshot.epoch
 
-(* Fold one epoch's per-worker counters/metrics into the pool-lifetime
-   accumulators. Called on the retiring world at publish time; exact
-   when the pool is quiescent (between synchronous dispatches — the
-   normal control-plane case). A batch still in flight on the retiring
-   epoch keeps executing it (jobs pin their world) but increments it
-   writes after this absorption die with the epoch. *)
+(* Fold one epoch's per-worker cache totals/metrics into the
+   pool-lifetime accumulators. Called on the retiring world at publish
+   time; exact when the pool is quiescent (between synchronous
+   dispatches — the normal control-plane case). A batch still in
+   flight on the retiring epoch keeps executing it (jobs pin their
+   world) but increments it writes after this absorption die with the
+   epoch. *)
 let absorb_published t pub =
   Array.iter
     (fun env ->
-      List.iter
-        (fun (k, v) -> Counters.incr ~by:v t.acc_counters k)
-        (Counters.to_list env.Env.counters))
+      t.acc_hits <- t.acc_hits + Progcache.hits env.Env.prog_cache;
+      t.acc_misses <- t.acc_misses + Progcache.misses env.Env.prog_cache)
     pub.envs;
   match t.acc_metrics with
   | None -> ()
@@ -516,19 +520,12 @@ let dispatch t ~want_actions items =
 let process_batch t items = fst (dispatch t ~want_actions:false items)
 let handle_batch t items = snd (dispatch t ~want_actions:true items)
 
-let counters t =
-  let pub = Atomic.get t.current in
-  let acc = Counters.create () in
-  List.iter
-    (fun (k, v) -> Counters.incr ~by:v acc k)
-    (Counters.to_list t.acc_counters);
-  Array.iter
-    (fun env ->
-      List.iter
-        (fun (k, v) -> Counters.incr ~by:v acc k)
-        (Counters.to_list env.Env.counters))
-    pub.envs;
-  acc
+let progcache_totals t =
+  Array.fold_left
+    (fun (h, m) env ->
+      let pc = env.Env.prog_cache in
+      (h + Progcache.hits pc, m + Progcache.misses pc))
+    (t.acc_hits, t.acc_misses) (Atomic.get t.current).envs
 
 let metrics t =
   if not t.with_metrics then None

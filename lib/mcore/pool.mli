@@ -35,8 +35,8 @@
     {!handle_batch}, {!dispatch_async}, {!await}) must come from one
     domain at a time — the pool is [N] workers behind {e one}
     dispatcher, not a thread-safe job queue. Between dispatches the
-    pool is quiescent, which is when {!counters} / {!metrics}
-    snapshots are exact. *)
+    pool is quiescent, which is when {!progcache_totals} /
+    {!metrics} snapshots are exact. *)
 
 type t
 
@@ -93,13 +93,13 @@ val publish : t -> Snapshot.t -> (unit, string) result
     world is pinned in the job), one dispatched after runs on the
     new.
 
-    Counters and metrics accumulated under the retiring epoch are
-    {e absorbed} into a pool-lifetime accumulator before the old
-    world is dropped, so {!counters}/{!metrics} keep reporting
-    totals across configuration changes. The absorption is exact
-    when the pool is quiescent (no dispatch in flight) — increments
-    a still-running pinned batch makes after the swap die with its
-    epoch.
+    Program-cache totals and metrics accumulated under the retiring
+    epoch are {e absorbed} into a pool-lifetime accumulator before
+    the old world is dropped, so {!progcache_totals}/{!metrics} keep
+    reporting totals across configuration changes. The absorption is
+    exact when the pool is quiescent (no dispatch in flight) —
+    increments a still-running pinned batch makes after the swap die
+    with its epoch.
 
     The snapshot's publish-time gate ({!Snapshot.check}) runs first:
     on [Error] nothing is swapped, the previous epoch keeps serving,
@@ -142,11 +142,11 @@ val await :
     verdicts and, if requested, action lists ([[||]] otherwise). The
     ticket is recycled; using it twice is a bug. *)
 
-val counters : t -> Dip_netsim.Stats.Counters.t
-(** Sum of the per-worker environment counters (forwarded/dropped
-    tallies, progcache hit/miss/evict, …) under the current
-    snapshot {e plus} the absorbed totals of every retired epoch.
-    Exact when the pool is quiescent. *)
+val progcache_totals : t -> int * int
+(** [(hits, misses)]: the per-worker program caches'
+    {!Dip_core.Progcache.hits}/{!Dip_core.Progcache.misses} summed
+    under the current snapshot {e plus} the absorbed totals of every
+    retired epoch. Exact when the pool is quiescent. *)
 
 val metrics : t -> Dip_obs.Metrics.t option
 (** Per-worker metrics registries (current epoch plus retired-epoch

@@ -45,7 +45,6 @@ type t = {
   (* Link-up subscribers per directed endpoint, looked up when a down
      window actually ends (so registration order doesn't matter). *)
   up_subs : (Sim.node_id * Sim.port, (float -> unit) list ref) Hashtbl.t;
-  counters : Stats.Counters.t;
   obs_counters : (string, Dip_obs.Metrics.counter) Hashtbl.t;
   fl_events : (string, Dip_obs.Flight.id) Hashtbl.t;
   mutable events : event list; (* reversed *)
@@ -53,7 +52,6 @@ type t = {
 
 let record t ~kind ~node ~port =
   Stats.Counters.incr (Sim.counters t.sim) ("fault." ^ kind);
-  Stats.Counters.incr t.counters kind;
   t.events <- { time = Sim.now t.sim; kind; node; port } :: t.events;
   (match Sim.flight t.sim with
   | None -> ()
@@ -154,7 +152,6 @@ let attach ~seed sim =
       down = Hashtbl.create 8;
       crashes = Hashtbl.create 4;
       up_subs = Hashtbl.create 4;
-      counters = Stats.Counters.create ();
       obs_counters = Hashtbl.create 8;
       fl_events = Hashtbl.create 8;
       events = [];
@@ -236,4 +233,13 @@ let crash_node t node ~at ~until =
           end))
 
 let events t = List.rev t.events
-let counts t = Stats.Counters.to_list t.counters
+let counts t =
+  let tally = Hashtbl.create 8 in
+  List.iter
+    (fun e ->
+      Hashtbl.replace tally e.kind
+        (1 + Option.value ~default:0 (Hashtbl.find_opt tally e.kind)))
+    t.events;
+  List.sort
+    (fun (a, _) (b, _) -> String.compare a b)
+    (List.of_seq (Hashtbl.to_seq tally))

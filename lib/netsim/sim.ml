@@ -269,28 +269,33 @@ let transmit t ~from:(id, port) packet =
                 e.packet)
             (hook t ~from:(id, port) packet))
 
-let handle_arrival t id port packet =
-  let node = t.nodes.(id) in
-  Stats.Counters.incr t.stats (node.name ^ ".rx");
+(* One arrival's accounting and effects, shared by the sequential
+   and batched loops: rx count, then each action in order. *)
+let apply_actions t id packet actions =
+  let name = t.nodes.(id).name in
+  Stats.Counters.incr t.stats (name ^ ".rx");
   (match t.obs with
   | Some o -> Dip_obs.Metrics.Counter.incr o.rx
   | None -> ());
-  let actions = node.handler t ~now:t.clock ~ingress:port packet in
   List.iter
     (fun action ->
       match action with
       | Forward (out, pkt) -> transmit t ~from:(id, out) pkt
       | Consume ->
-          Stats.Counters.incr t.stats (node.name ^ ".consumed");
+          Stats.Counters.incr t.stats (name ^ ".consumed");
           (match t.obs with
           | Some o -> Dip_obs.Metrics.Counter.incr o.consumed_c
           | None -> ());
           t.delivered <- (id, t.clock, packet) :: t.delivered;
           List.iter (fun f -> f id t.clock packet) t.consume_hooks
       | Drop reason ->
-          Stats.Counters.incr t.stats (node.name ^ ".drop." ^ reason);
+          Stats.Counters.incr t.stats (name ^ ".drop." ^ reason);
           obs_drop t reason)
     actions
+
+let handle_arrival t id port packet =
+  apply_actions t id packet
+    (t.nodes.(id).handler t ~now:t.clock ~ingress:port packet)
 
 let run ?(until = Float.infinity) t =
   let rec loop () =
@@ -319,30 +324,11 @@ type batch_item = {
 }
 
 (* Apply one batched item's results exactly as [handle_arrival] would
-   have: clock rewound to the item's arrival instant, rx accounting,
-   then the actions. *)
+   have: clock rewound to the item's arrival instant, then the shared
+   accounting and actions. *)
 let apply_batch_result t item actions =
   t.clock <- item.b_time;
-  let node = t.nodes.(item.b_node) in
-  Stats.Counters.incr t.stats (node.name ^ ".rx");
-  (match t.obs with
-  | Some o -> Dip_obs.Metrics.Counter.incr o.rx
-  | None -> ());
-  List.iter
-    (fun action ->
-      match action with
-      | Forward (out, pkt) -> transmit t ~from:(item.b_node, out) pkt
-      | Consume ->
-          Stats.Counters.incr t.stats (node.name ^ ".consumed");
-          (match t.obs with
-          | Some o -> Dip_obs.Metrics.Counter.incr o.consumed_c
-          | None -> ());
-          t.delivered <- (item.b_node, t.clock, item.b_packet) :: t.delivered;
-          List.iter (fun f -> f item.b_node t.clock item.b_packet) t.consume_hooks
-      | Drop reason ->
-          Stats.Counters.incr t.stats (node.name ^ ".drop." ^ reason);
-          obs_drop t reason)
-    actions
+  apply_actions t item.b_node item.b_packet actions
 
 (* The shared batched event loop. [submit] hands a closed window to
    the execution backend and returns a join thunk producing the

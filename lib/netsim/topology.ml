@@ -133,8 +133,20 @@ let port_of t u v =
   in
   idx 0 ns
 
+(* Every node's [neighbors] from one pass over the edges, so a BFS
+   costs O(V + E) rather than a full edge scan per visited node. *)
+let adjacency t =
+  let adj = Array.make t.node_count [] in
+  List.iter
+    (fun e ->
+      adj.(e.u) <- e.v :: adj.(e.u);
+      adj.(e.v) <- e.u :: adj.(e.v))
+    t.edges;
+  Array.map (List.sort_uniq compare) adj
+
 let shortest_paths t ~src =
   if src < 0 || src >= t.node_count then invalid_arg "Topology.shortest_paths";
+  let adj = adjacency t in
   let pred = Array.make t.node_count (-1) in
   let seen = Array.make t.node_count false in
   seen.(src) <- true;
@@ -149,7 +161,7 @@ let shortest_paths t ~src =
           pred.(v) <- u;
           Queue.add v q
         end)
-      (neighbors t u)
+      adj.(u)
   done;
   pred
 

@@ -11,8 +11,8 @@
 
     Concurrency contract: a ring has {e one} writer (the domain it
     was created for). Readers ({!events}, {!merge}) must run when the
-    writer is quiescent — the same moment {!Dip_mcore.Pool.counters}
-    is exact. There is no seqlock: the single-writer/quiescent-reader
+    writer is quiescent — the same moment
+    {!Dip_mcore.Pool.progcache_totals} is exact. There is no seqlock: the single-writer/quiescent-reader
     discipline is the whole synchronization story, which is what
     keeps {!record} to five stores and an increment.
 

@@ -155,7 +155,7 @@ let test_runtime_upgrade_scenario () =
   Sim.inject sim ~at:0.0 ~node ~port:0 (opt_pkt ());
   Sim.run sim;
   Alcotest.(check int) "unsupported before upgrade" 1
-    (Dip_netsim.Stats.Counters.get env.Env.counters "dip.unsupported.F_parm");
+    (Dip_netsim.Stats.Counters.get (Sim.counters sim) "r.drop.unsupported-F_parm");
   (* The operator pushes Enable_op commands. *)
   List.iteri
     (fun i k ->
@@ -165,14 +165,14 @@ let test_runtime_upgrade_scenario () =
     [ Opkey.F_parm; Opkey.F_mac; Opkey.F_mark ];
   Sim.run sim;
   Alcotest.(check int) "three commands applied" 3
-    (Dip_netsim.Stats.Counters.get env.Env.counters "control.applied");
+    (Dip_netsim.Stats.Counters.get (Sim.counters sim) "r.consumed");
   (* After the upgrade the same packet is processed. Note: OPT alone
      proposes no route, so the engine now reports no-decision rather
      than unsupported — the FN executed. *)
   Sim.inject sim ~at:10.0 ~node ~port:0 (opt_pkt ());
   Sim.run sim;
   Alcotest.(check int) "no new unsupported" 1
-    (Dip_netsim.Stats.Counters.get env.Env.counters "dip.unsupported.F_parm")
+    (Dip_netsim.Stats.Counters.get (Sim.counters sim) "r.drop.unsupported-F_parm")
 
 let () =
   Alcotest.run "control"

@@ -98,7 +98,8 @@ let test_unsupported_notification_returns_to_source () =
   Alcotest.(check (list string)) "source notified about F_parm" [ "F_parm" ]
     !notifications;
   Alcotest.(check int) "unsupported counted" 1
-    (Dip_netsim.Stats.Counters.get env.Env.counters "dip.unsupported.F_parm")
+    (Dip_netsim.Stats.Counters.get (Sim.counters sim)
+       "legacy.drop.unsupported-F_parm")
 
 (* --- 3. Tunnel across a legacy IPv4 core --- *)
 

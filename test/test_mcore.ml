@@ -496,12 +496,10 @@ let test_pool_counters_and_metrics () =
       | Engine.Forwarded [ 1 ] -> ()
       | v -> Alcotest.failf "unexpected verdict %s" (verdict_summary v))
     out;
-  (* Counters merge across the 3 worker envs: every packet either hit
-     or missed each worker's program cache. *)
-  let c = Mcore.Pool.counters pool in
-  Alcotest.(check int) "cache hits+misses = packets" n
-    (Dip_netsim.Stats.Counters.get c "progcache.hit"
-    + Dip_netsim.Stats.Counters.get c "progcache.miss");
+  (* Cache totals merge across the 3 worker envs: every packet either
+     hit or missed its worker's program cache. *)
+  let hits, misses = Mcore.Pool.progcache_totals pool in
+  Alcotest.(check int) "cache hits+misses = packets" n (hits + misses);
   (* Metrics merge across the per-worker registries. *)
   (match Mcore.Pool.metrics pool with
   | None -> Alcotest.fail "metrics expected"
@@ -536,10 +534,9 @@ let test_pool_counters_survive_publish () =
   | Ok () -> ()
   | Error e -> Alcotest.fail ("publish rejected: " ^ e));
   batch n2;
-  let c = Mcore.Pool.counters pool in
+  let hits, misses = Mcore.Pool.progcache_totals pool in
   Alcotest.(check int) "progcache traffic spans both epochs" (n1 + n2)
-    (Dip_netsim.Stats.Counters.get c "progcache.hit"
-    + Dip_netsim.Stats.Counters.get c "progcache.miss");
+    (hits + misses);
   (match Mcore.Pool.metrics pool with
   | None -> Alcotest.fail "metrics expected"
   | Some m ->
